@@ -25,7 +25,7 @@ fn bench_engines(c: &mut Criterion) {
             .collect();
         let slots: Vec<usize> = (0..n).collect();
         group.bench_with_input(BenchmarkId::new("analytic", n), &n, |b, _| {
-            b.iter(|| AnalyticEngine::new().execute(&config, &slots, &dirs))
+            b.iter(|| AnalyticEngine::new().execute(config.positions(), 0, &dirs))
         });
         if n <= 256 {
             group.bench_with_input(BenchmarkId::new("event", n), &n, |b, _| {

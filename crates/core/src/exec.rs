@@ -283,13 +283,18 @@ impl<'a> Network<'a> {
                 expected: self.ring.len(),
             });
         }
-        if !self.model.allows_idle() {
-            if let Some(agent) = directions.iter().position(|d| !d.is_moving()) {
-                return Err(ProtocolError::IdleForbidden {
-                    agent,
-                    model: self.model,
-                });
-            }
+        // A branch-free scan (it vectorises, unlike an early-exit search)
+        // decides whether anybody idles; only the error path asks who.
+        if !self.model.allows_idle()
+            && directions
+                .iter()
+                .fold(false, |idle, d| idle | !d.is_moving())
+        {
+            let agent = directions.iter().position(|d| !d.is_moving());
+            return Err(ProtocolError::IdleForbidden {
+                agent: agent.expect("an idle agent"),
+                model: self.model,
+            });
         }
         if let Some(limit) = self.round_limit {
             if self.rounds >= limit {
@@ -447,9 +452,18 @@ impl<'a> Network<'a> {
         self.ring.config()
     }
 
-    /// Ground truth: the slot currently occupied by each agent.
-    pub fn ground_truth_slots(&self) -> &[usize] {
-        self.ring.slots()
+    /// Ground truth: the rotation offset — agent `a` currently occupies
+    /// slot `(a + offset) mod n`.
+    pub fn ground_truth_offset(&self) -> usize {
+        self.ring.offset()
+    }
+
+    /// Ground truth: the slot currently occupied by each agent (derived
+    /// from [`Network::ground_truth_offset`]).
+    pub fn ground_truth_slots(&self) -> Vec<usize> {
+        (0..self.ring.len())
+            .map(|agent| self.ring.slot_of_agent(agent))
+            .collect()
     }
 
     /// Ground truth: the rotation index of the last executed round.
@@ -464,8 +478,7 @@ impl<'a> Network<'a> {
 
     /// Ground truth: whether every agent is back at its initial position.
     pub fn ground_truth_at_initial_positions(&self) -> bool {
-        self.ring.config().len() == self.ring.slots().len()
-            && self.ring.slots().iter().enumerate().all(|(a, &s)| a == s)
+        self.ring.at_initial_positions()
     }
 }
 
@@ -551,7 +564,7 @@ mod tests {
             let obs = plain.step(&dirs).unwrap();
             buffered.step_into(&dirs, &mut bufs).unwrap();
             assert_eq!(bufs.observations(), &obs[..]);
-            assert_eq!(plain.ground_truth_slots(), buffered.ground_truth_slots());
+            assert_eq!(plain.ground_truth_offset(), buffered.ground_truth_offset());
             for agent in 0..6 {
                 assert_eq!(
                     plain.observed_cumulative_dist(agent),
@@ -727,7 +740,7 @@ mod tests {
             analytic.step_into(&dirs, &mut bufs_a).unwrap();
             event.step_into(&dirs, &mut bufs_e).unwrap();
             assert_eq!(bufs_a.observations(), bufs_e.observations());
-            assert_eq!(analytic.ground_truth_slots(), event.ground_truth_slots());
+            assert_eq!(analytic.ground_truth_offset(), event.ground_truth_offset());
         }
     }
 

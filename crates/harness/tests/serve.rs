@@ -453,6 +453,25 @@ fn traced_workers_stay_byte_identical_and_the_daemon_serves_metrics() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A submission nested far deeper than the JSON parser's depth cap is
+/// rejected as a bad request; before the cap, parsing it overflowed the
+/// stack and killed the daemon.
+#[test]
+fn deeply_nested_submissions_are_rejected_and_the_daemon_survives() {
+    let dir = temp_dir("deep");
+    let daemon = start_daemon(&dir, &[]);
+
+    let (status, body) = http(&daemon.addr, "POST", "/v1/runs", &"[".repeat(200_000));
+    assert!((400..500).contains(&status), "status {status}: {body}");
+    assert!(body.contains("nesting"), "rejection needs a reason: {body}");
+    let (status, body) = http(&daemon.addr, "GET", "/v1/healthz", "");
+    assert_eq!(status, 200);
+    assert!(body.contains("ring-serve/v1"), "healthz: {body}");
+
+    shutdown(daemon, Vec::new());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The service rejects what it cannot run — bad JSON, unknown
 /// subcommands, zero-case specs — with a 400 and a reason, and serves its
 /// health and worker inventory endpoints.

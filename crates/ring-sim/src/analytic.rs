@@ -1,9 +1,28 @@
 //! The analytic round engine.
 //!
-//! Uses the rotation-index lemma (Lemma 1) to compute the end-of-round
-//! permutation in O(n), and the collision-cascade formula (Proposition 4) to
-//! compute every agent's first-collision distance in O(n log n). All
-//! arithmetic is exact (integer ticks).
+//! By the rotation-index lemma (Lemma 1) a round shifts **every** agent by
+//! the same number `r` of slots. The agent → slot map of a ring is therefore
+//! a single *rotation offset* `o` — agent `a` occupies slot `(a + o) mod n`
+//! — and a round only advances it by `r`. The engine works in slot space,
+//! where each per-round quantity is a linear pass over contiguous slices:
+//!
+//! * the rotation index comes from one mover-counting pass and one
+//!   division;
+//! * the displacement of the agent at slot `s` is
+//!   `pos[s + r] − pos[s]` masked by `CIRCUMFERENCE − 1` (a power of two),
+//!   computed over the two contiguous segments `s < n − r` and `s ≥ n − r`;
+//! * first collisions (Proposition 4) come from two cyclic linear sweeps
+//!   over the slot-ordered directions: the next anticlockwise mover ahead
+//!   of each clockwise mover, and the previous clockwise mover behind each
+//!   anticlockwise mover.
+//!
+//! There is no per-agent division, scatter or search; a round costs O(n)
+//! with small constants. All arithmetic is exact (integer ticks).
+//!
+//! Results are slot-ordered. Agents `0..n − o` occupy slots `o..n` and
+//! agents `n − o..n` occupy slots `0..o`, so agent-order consumers (the
+//! observation pass of [`crate::state::RingState`]) read two contiguous
+//! segments.
 //!
 //! First collisions are only defined here for rounds in which **every**
 //! agent moves (the basic and perceptive models); for rounds containing idle
@@ -12,12 +31,11 @@
 //! sufficient for the paper's algorithms because `coll()` is only available
 //! in the perceptive model, which does not allow idling.
 
-use crate::config::RingConfig;
 use crate::direction::ObjectiveDirection;
-use crate::geometry::ArcLength;
-use crate::rotation::{rotation_index, RotationIndex};
+use crate::geometry::{ArcLength, Point, CIRCUMFERENCE};
+use crate::rotation::{mover_counts, rotation_from_counts, RotationIndex};
 
-/// Result of analytically executing one round.
+/// Result of analytically executing one round, in agent order.
 #[derive(Clone, Debug)]
 pub struct AnalyticRound {
     /// Rotation index of the round.
@@ -29,40 +47,29 @@ pub struct AnalyticRound {
     /// or `None` if the agent never collides (or the round contains idle
     /// agents, for which the analytic engine does not model collisions).
     pub first_collision: Vec<Option<ArcLength>>,
-    /// The new slot of each agent after the round.
-    pub new_slot_of_agent: Vec<usize>,
+    /// The rotation offset after the round: agent `a` ends at slot
+    /// `(a + offset) mod n`.
+    pub offset: usize,
 }
 
-/// Reusable scratch space for [`AnalyticEngine::execute_into`]: all of the
-/// per-round vectors of [`AnalyticRound`] plus the engine's internal
-/// work arrays, so a multi-round driver performs **zero** heap allocation
-/// per round after the first.
+/// Reusable scratch space for [`AnalyticEngine::execute_into`]: the
+/// slot-ordered outputs of a round plus the slot-ordered directions, so a
+/// multi-round driver performs **zero** heap allocation per round after
+/// the first.
 #[derive(Clone, Debug, Default)]
 pub struct AnalyticScratch {
-    /// Per-agent objective clockwise displacement (output).
-    pub cw_displacement: Vec<ArcLength>,
-    /// Per-agent first-collision distance (output).
-    pub first_collision: Vec<Option<ArcLength>>,
-    /// Per-agent new slot (output).
-    pub new_slot_of_agent: Vec<usize>,
-    dir_at_slot: Vec<ObjectiveDirection>,
-    cw_slots: Vec<usize>,
-    acw_slots: Vec<usize>,
+    /// Objective clockwise displacement of the agent at each slot.
+    pub(crate) cw_displacement: Vec<ArcLength>,
+    /// First-collision distance of the agent at each slot.
+    pub(crate) first_collision: Vec<Option<ArcLength>>,
+    /// Objective direction of the agent at each slot.
+    dir_by_slot: Vec<ObjectiveDirection>,
 }
 
 impl AnalyticScratch {
     /// Creates empty scratch space (vectors grow on first use).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn reset(&mut self, n: usize) {
-        self.cw_displacement.clear();
-        self.cw_displacement.resize(n, ArcLength::ZERO);
-        self.first_collision.clear();
-        self.first_collision.resize(n, None);
-        self.new_slot_of_agent.clear();
-        self.new_slot_of_agent.resize(n, 0);
     }
 }
 
@@ -81,153 +88,140 @@ impl AnalyticEngine {
         AnalyticEngine
     }
 
-    /// Executes one round.
+    /// Executes one round and returns its outputs in agent order.
     ///
-    /// * `config` — the ground-truth configuration (initial slot positions).
-    /// * `slot_of_agent` — the slot currently occupied by each agent.
+    /// * `positions` — the initial slot positions, in clockwise order
+    ///   ([`crate::config::RingConfig::positions`]).
+    /// * `offset` — the current rotation offset: agent `a` occupies slot
+    ///   `(a + offset) mod n`.
     /// * `directions` — the objective direction chosen by each agent.
     ///
     /// # Panics
     ///
-    /// Panics if the slices have inconsistent lengths (the caller,
-    /// [`crate::state::RingState`], validates its inputs).
+    /// Panics if the slices have inconsistent lengths or `offset >= n`
+    /// (the caller, [`crate::state::RingState`], validates its inputs).
     pub fn execute(
         &self,
-        config: &RingConfig,
-        slot_of_agent: &[usize],
+        positions: &[Point],
+        offset: usize,
         directions: &[ObjectiveDirection],
     ) -> AnalyticRound {
         let mut scratch = AnalyticScratch::new();
-        let rotation = self.execute_into(config, slot_of_agent, directions, &mut scratch);
+        let rotation = self.execute_into(positions, offset, directions, &mut scratch);
+        // Agent `a` sits at slot `(a + offset) mod n`.
+        let mut cw_displacement = scratch.cw_displacement;
+        cw_displacement.rotate_left(offset);
+        let mut first_collision = scratch.first_collision;
+        first_collision.rotate_left(offset);
         AnalyticRound {
             rotation,
-            cw_displacement: scratch.cw_displacement,
-            first_collision: scratch.first_collision,
-            new_slot_of_agent: scratch.new_slot_of_agent,
+            cw_displacement,
+            first_collision,
+            offset: (offset + rotation.shift) % positions.len(),
         }
     }
 
-    /// Executes one round into caller-owned scratch space — the zero-alloc
-    /// variant of [`AnalyticEngine::execute`]. After the scratch vectors
-    /// have grown to the ring size once, subsequent calls allocate nothing.
+    /// Executes one round into caller-owned scratch space, leaving the
+    /// **slot-ordered** displacements and first collisions there — the
+    /// zero-alloc core of [`AnalyticEngine::execute`]. After the scratch
+    /// vectors have grown to the ring size once, subsequent calls allocate
+    /// nothing.
     ///
     /// # Panics
     ///
-    /// Panics if the slices have inconsistent lengths.
+    /// Panics if the slices have inconsistent lengths or `offset >= n`.
     pub fn execute_into(
         &self,
-        config: &RingConfig,
-        slot_of_agent: &[usize],
+        positions: &[Point],
+        offset: usize,
         directions: &[ObjectiveDirection],
         scratch: &mut AnalyticScratch,
     ) -> RotationIndex {
-        let n = config.len();
-        assert_eq!(slot_of_agent.len(), n);
+        let n = positions.len();
         assert_eq!(directions.len(), n);
-        scratch.reset(n);
+        assert!(
+            offset < n,
+            "rotation offset {offset} out of range for n = {n}"
+        );
 
-        let rotation = rotation_index(directions);
+        let (n_c, n_a) = mover_counts(directions);
+        let rotation = rotation_from_counts(n_c, n_a, n);
         let r = rotation.shift;
 
-        for ((&slot, slot_out), disp_out) in slot_of_agent
-            .iter()
-            .zip(&mut scratch.new_slot_of_agent)
-            .zip(&mut scratch.cw_displacement)
-        {
-            let new_slot = (slot + r) % n;
-            *slot_out = new_slot;
-            *disp_out = config.cw_arc(slot, new_slot);
-        }
+        // The agent at slot `s` ends at slot `s + r` (mod n): the slots
+        // below `n − r` move without wrapping, the rest wrap to the front.
+        let disp = &mut scratch.cw_displacement;
+        disp.clear();
+        disp.extend(pos_pairs(&positions[..n - r], &positions[r..]));
+        disp.extend(pos_pairs(&positions[n - r..], &positions[..r]));
 
-        if directions.iter().all(|d| d.is_moving()) {
-            self.first_collisions(config, slot_of_agent, directions, scratch);
+        scratch.first_collision.clear();
+        if n_c + n_a == n && n_c > 0 && n_a > 0 {
+            // Slot order: agents `n − o..n` sit at slots `0..o`, agents
+            // `0..n − o` at slots `o..n`.
+            let dir = &mut scratch.dir_by_slot;
+            dir.clear();
+            dir.extend_from_slice(&directions[n - offset..]);
+            dir.extend_from_slice(&directions[..n - offset]);
+            first_collisions(positions, dir, &mut scratch.first_collision);
+        } else {
+            // Everybody moves the same way (no collisions at all), or some
+            // agents idle (collisions not modelled analytically).
+            scratch.first_collision.resize(n, None);
         }
         rotation
     }
-
-    /// Computes every agent's first-collision distance for an all-moving
-    /// round (Proposition 4: an agent's first collision happens after it has
-    /// travelled half the arc separating it from the nearest agent ahead of
-    /// it — in its direction of travel — that moves in the opposite
-    /// direction). Writes into `scratch.first_collision`.
-    fn first_collisions(
-        &self,
-        config: &RingConfig,
-        slot_of_agent: &[usize],
-        directions: &[ObjectiveDirection],
-        scratch: &mut AnalyticScratch,
-    ) {
-        let n = config.len();
-
-        // Direction of the agent sitting at each slot.
-        scratch.dir_at_slot.clear();
-        scratch.dir_at_slot.resize(n, ObjectiveDirection::Idle);
-        for agent in 0..n {
-            scratch.dir_at_slot[slot_of_agent[agent]] = directions[agent];
-        }
-
-        // Sorted slot indices of clockwise and anticlockwise movers.
-        scratch.cw_slots.clear();
-        scratch.acw_slots.clear();
-        for (s, dir) in scratch.dir_at_slot.iter().enumerate() {
-            match dir {
-                ObjectiveDirection::Clockwise => scratch.cw_slots.push(s),
-                ObjectiveDirection::Anticlockwise => scratch.acw_slots.push(s),
-                ObjectiveDirection::Idle => {}
-            }
-        }
-
-        if scratch.cw_slots.is_empty() || scratch.acw_slots.is_empty() {
-            // Everybody moves the same way: no collisions at all.
-            return;
-        }
-
-        for agent in 0..n {
-            let slot = slot_of_agent[agent];
-            let coll = match directions[agent] {
-                ObjectiveDirection::Clockwise => {
-                    // Nearest anticlockwise mover strictly ahead (clockwise).
-                    let target = next_strictly_after(&scratch.acw_slots, slot, n);
-                    config.cw_arc(slot, target).half()
-                }
-                ObjectiveDirection::Anticlockwise => {
-                    // Nearest clockwise mover strictly behind (anticlockwise).
-                    let target = prev_strictly_before(&scratch.cw_slots, slot, n);
-                    config.cw_arc(target, slot).half()
-                }
-                ObjectiveDirection::Idle => unreachable!("all-moving round"),
-            };
-            scratch.first_collision[agent] = Some(coll);
-        }
-    }
 }
 
-/// Smallest element of the (sorted, nonempty) cyclic set `sorted` that is
-/// strictly after `slot` in clockwise order.
-fn next_strictly_after(sorted: &[usize], slot: usize, _n: usize) -> usize {
-    match sorted.binary_search(&(slot + 1)) {
-        Ok(i) => sorted[i],
-        Err(i) => {
-            if i < sorted.len() {
-                sorted[i]
-            } else {
-                sorted[0]
-            }
-        }
-    }
+/// Clockwise arc from each `from` position to the matching `to` position.
+fn pos_pairs<'a>(from: &'a [Point], to: &'a [Point]) -> impl Iterator<Item = ArcLength> + 'a {
+    from.iter().zip(to).map(|(&f, &t)| cw_arc(f, t))
 }
 
-/// Largest element of the (sorted, nonempty) cyclic set `sorted` that is
-/// strictly before `slot` in clockwise order.
-fn prev_strictly_before(sorted: &[usize], slot: usize, _n: usize) -> usize {
-    match sorted.binary_search(&slot) {
-        Ok(i) | Err(i) => {
-            if i > 0 {
-                sorted[i - 1]
-            } else {
-                *sorted.last().expect("nonempty")
-            }
-        }
+/// Clockwise arc between two points; the circumference is a power of two,
+/// so the reduction is a mask.
+#[inline]
+fn cw_arc(from: Point, to: Point) -> ArcLength {
+    ArcLength::from_ticks(to.ticks().wrapping_sub(from.ticks()) & (CIRCUMFERENCE - 1))
+}
+
+/// Every slot's first-collision distance in an all-moving round with both
+/// directions present (Proposition 4: an agent's first collision happens
+/// after it has travelled half the arc separating it from the nearest agent
+/// ahead of it — in its direction of travel — that moves the opposite way).
+///
+/// Two cyclic linear sweeps. The backward sweep carries the nearest
+/// anticlockwise mover ahead and writes every slot; the forward sweep
+/// carries the nearest clockwise mover behind and overwrites the
+/// anticlockwise slots. Each sweep starts from the mover that wraps around
+/// the slot-0 boundary.
+fn first_collisions(
+    positions: &[Point],
+    dir: &[ObjectiveDirection],
+    out: &mut Vec<Option<ArcLength>>,
+) {
+    use ObjectiveDirection::{Anticlockwise, Clockwise};
+
+    let first_acw = dir.iter().position(|&d| d == Anticlockwise);
+    let last_cw = dir.iter().rposition(|&d| d == Clockwise);
+    let (Some(first_acw), Some(last_cw)) = (first_acw, last_cw) else {
+        unreachable!("mixed round has movers in both directions");
+    };
+
+    out.resize(positions.len(), None);
+    let mut ahead = positions[first_acw];
+    for ((coll, &here), &d) in out.iter_mut().zip(positions).zip(dir).rev() {
+        *coll = Some(cw_arc(here, ahead).half());
+        ahead = if d == Anticlockwise { here } else { ahead };
+    }
+
+    let mut behind = positions[last_cw];
+    for ((coll, &here), &d) in out.iter_mut().zip(positions).zip(dir) {
+        // Selects rather than branches: directions are data-dependent.
+        let acw = d == Anticlockwise;
+        let from_behind = Some(cw_arc(behind, here).half());
+        *coll = if acw { from_behind } else { *coll };
+        behind = if acw { behind } else { here };
     }
 }
 
@@ -235,7 +229,6 @@ fn prev_strictly_before(sorted: &[usize], slot: usize, _n: usize) -> usize {
 mod tests {
     use super::*;
     use crate::config::RingConfig;
-    use crate::geometry::Point;
     use ObjectiveDirection::{Anticlockwise as A, Clockwise as C, Idle as I};
 
     fn config_with_positions(ticks: &[u64]) -> RingConfig {
@@ -248,23 +241,21 @@ mod tests {
     #[test]
     fn all_clockwise_round_has_no_collisions_and_no_displacement() {
         let config = config_with_positions(&[0, 100, 220, 400, 900]);
-        let slots: Vec<usize> = (0..5).collect();
-        let round = AnalyticEngine::new().execute(&config, &slots, &[C; 5]);
+        let round = AnalyticEngine::new().execute(config.positions(), 0, &[C; 5]);
         assert!(round.rotation.is_zero());
         assert!(round.cw_displacement.iter().all(|d| d.is_zero()));
         assert!(round.first_collision.iter().all(|c| c.is_none()));
-        assert_eq!(round.new_slot_of_agent, slots);
+        assert_eq!(round.offset, 0);
     }
 
     #[test]
     fn single_anticlockwise_agent_rotates_everyone() {
         let config = config_with_positions(&[0, 100, 220, 400, 900]);
-        let slots: Vec<usize> = (0..5).collect();
         let dirs = [C, C, C, C, A];
-        let round = AnalyticEngine::new().execute(&config, &slots, &dirs);
-        // r = (4 - 1) mod 5 = 3.
+        let round = AnalyticEngine::new().execute(config.positions(), 0, &dirs);
+        // r = (4 - 1) mod 5 = 3: agent a ends at slot a + 3.
         assert_eq!(round.rotation.shift, 3);
-        assert_eq!(round.new_slot_of_agent, vec![3, 4, 0, 1, 2]);
+        assert_eq!(round.offset, 3);
         // Agent 0 ends at slot 3 (tick 400): displacement 400.
         assert_eq!(round.cw_displacement[0].ticks(), 400);
         // Agent 4 (tick 900) ends at slot 2 (tick 220): cw distance wraps.
@@ -279,9 +270,8 @@ mod tests {
         // Agents at 0, 100, 220, 400, 900; agent 3 (tick 400) moves
         // anticlockwise, everyone else clockwise.
         let config = config_with_positions(&[0, 100, 220, 400, 900]);
-        let slots: Vec<usize> = (0..5).collect();
         let dirs = [C, C, C, A, C];
-        let round = AnalyticEngine::new().execute(&config, &slots, &dirs);
+        let round = AnalyticEngine::new().execute(config.positions(), 0, &dirs);
 
         // Agent 0 moves clockwise; the nearest anticlockwise mover ahead is
         // at tick 400, so it collides after (400 - 0)/2 = 200.
@@ -300,25 +290,32 @@ mod tests {
     #[test]
     fn idle_rounds_have_no_analytic_collisions_but_correct_rotation() {
         let config = config_with_positions(&[0, 100, 220, 400, 900]);
-        let slots: Vec<usize> = (0..5).collect();
         let dirs = [C, I, I, I, I];
-        let round = AnalyticEngine::new().execute(&config, &slots, &dirs);
+        let round = AnalyticEngine::new().execute(config.positions(), 0, &dirs);
         assert_eq!(round.rotation.shift, 1);
         assert!(round.first_collision.iter().all(|c| c.is_none()));
-        assert_eq!(round.new_slot_of_agent, vec![1, 2, 3, 4, 0]);
+        assert_eq!(round.offset, 1);
     }
 
     #[test]
     fn displacement_uses_current_slots_not_agent_ids() {
         let config = config_with_positions(&[0, 100, 220, 400, 900]);
-        // Agents already rotated by 2: agent i occupies slot i+2.
-        let slots: Vec<usize> = (0..5).map(|i| (i + 2) % 5).collect();
-        let dirs = [C, C, C, C, A];
-        let round = AnalyticEngine::new().execute(&config, &slots, &dirs);
-        assert_eq!(round.rotation.shift, 3);
-        for (agent, &slot) in slots.iter().enumerate() {
-            let expected = config.cw_arc(slot, (slot + 3) % 5);
+        // Agents already rotated by 2: agent i occupies slot i + 2.
+        let offset = 2;
+        let dirs = [C, C, A, C, A];
+        let round = AnalyticEngine::new().execute(config.positions(), offset, &dirs);
+        assert_eq!(round.rotation.shift, 1);
+        assert_eq!(round.offset, 3);
+        for agent in 0..5 {
+            let slot = (agent + offset) % 5;
+            let expected = config.cw_arc(slot, (slot + 1) % 5);
             assert_eq!(round.cw_displacement[agent], expected);
         }
+        // Agent 2 (slot 4, tick 900) moves anticlockwise; the nearest
+        // clockwise mover behind is agent 1 at slot 3 (tick 400).
+        assert_eq!(round.first_collision[2].unwrap().ticks(), 250);
+        // Agent 3 (slot 0, tick 0) moves clockwise; the nearest
+        // anticlockwise mover ahead is agent 4 at slot 1 (tick 100).
+        assert_eq!(round.first_collision[3].unwrap().ticks(), 50);
     }
 }

@@ -86,12 +86,18 @@ impl LocalDirection {
     /// Translates this local direction to the objective frame, given the
     /// agent's chirality.
     pub fn to_objective(self, chirality: Chirality) -> ObjectiveDirection {
-        match (self, chirality) {
-            (LocalDirection::Idle, _) => ObjectiveDirection::Idle,
-            (LocalDirection::Right, Chirality::Aligned) => ObjectiveDirection::Clockwise,
-            (LocalDirection::Right, Chirality::Reversed) => ObjectiveDirection::Anticlockwise,
-            (LocalDirection::Left, Chirality::Aligned) => ObjectiveDirection::Anticlockwise,
-            (LocalDirection::Left, Chirality::Reversed) => ObjectiveDirection::Clockwise,
+        // Right is clockwise exactly for aligned agents. Written as one
+        // comparison rather than a table over both enums, so translating a
+        // whole direction vector vectorises.
+        match self {
+            LocalDirection::Idle => ObjectiveDirection::Idle,
+            moving => {
+                if (moving == LocalDirection::Right) == chirality.is_aligned() {
+                    ObjectiveDirection::Clockwise
+                } else {
+                    ObjectiveDirection::Anticlockwise
+                }
+            }
         }
     }
 

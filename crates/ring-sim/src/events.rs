@@ -316,7 +316,7 @@ mod tests {
         let config = RingConfig::builder(9).random_positions(17).build().unwrap();
         let slots: Vec<usize> = (0..9).collect();
         let dirs = [C, A, C, A, A, C, C, A, C];
-        let analytic = AnalyticEngine::new().execute(&config, &slots, &dirs);
+        let analytic = AnalyticEngine::new().execute(config.positions(), 0, &dirs);
         let traj = EventEngine::new().simulate(&config, &slots, &dirs);
         for agent in 0..9 {
             let expected = analytic.cw_displacement[agent].as_fraction();
@@ -379,7 +379,7 @@ mod tests {
         // The idle neighbour is hit without having moved.
         assert!(traj.first_collision[1].unwrap().abs() < EPS);
         // Rotation index 1: every agent ends at its clockwise neighbour's slot.
-        let analytic = AnalyticEngine::new().execute(&config, &slots, &dirs);
+        let analytic = AnalyticEngine::new().execute(config.positions(), 0, &dirs);
         assert_eq!(analytic.rotation.shift, 1);
         for agent in 0..5 {
             let expected = analytic.cw_displacement[agent].as_fraction();

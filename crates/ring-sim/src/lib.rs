@@ -20,9 +20,13 @@
 //! The crate provides:
 //!
 //! * exact fixed-point circle geometry ([`geometry`]),
-//! * ring configurations and hidden ground truth ([`config`], [`state`]),
+//! * ring configurations and hidden ground truth ([`config`], [`state`]);
+//!   since every round rotates all agents by the same number of slots
+//!   (Lemma 1), a ring's state is a single rotation offset — agent `a`
+//!   occupies slot `(a + offset) mod n`,
 //! * an O(n)-per-round *analytic engine* based on the rotation-index lemma
-//!   ([`analytic`]),
+//!   that runs a round as a few contiguous passes in slot space, with no
+//!   per-agent division, scatter or search ([`analytic`]),
 //! * a reference *event-driven engine* that simulates every collision
 //!   ([`events`]),
 //! * the per-agent observation model with local frames ([`observe`],

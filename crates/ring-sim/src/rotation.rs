@@ -63,17 +63,28 @@ impl RotationIndex {
 /// Computes the rotation index of a round from the objective directions of
 /// all agents (Lemma 1).
 pub fn rotation_index(directions: &[ObjectiveDirection]) -> RotationIndex {
-    let n = directions.len();
-    let n_c = directions
-        .iter()
-        .filter(|d| matches!(d, ObjectiveDirection::Clockwise))
-        .count();
-    let n_a = directions
-        .iter()
-        .filter(|d| matches!(d, ObjectiveDirection::Anticlockwise))
-        .count();
-    let shift = (n_c + n - n_a) % n;
-    RotationIndex { shift, n }
+    let (n_c, n_a) = mover_counts(directions);
+    rotation_from_counts(n_c, n_a, directions.len())
+}
+
+/// Numbers of clockwise and anticlockwise movers, counted in one
+/// branch-free pass.
+pub(crate) fn mover_counts(directions: &[ObjectiveDirection]) -> (usize, usize) {
+    directions.iter().fold((0, 0), |(n_c, n_a), &d| {
+        (
+            n_c + usize::from(d == ObjectiveDirection::Clockwise),
+            n_a + usize::from(d == ObjectiveDirection::Anticlockwise),
+        )
+    })
+}
+
+/// The rotation index `(n_C − n_A) mod n` of a round with `n_c` clockwise
+/// and `n_a` anticlockwise movers among `n` agents.
+pub(crate) fn rotation_from_counts(n_c: usize, n_a: usize, n: usize) -> RotationIndex {
+    RotationIndex {
+        shift: (n_c + n - n_a) % n,
+        n,
+    }
 }
 
 /// Rotation index of the round in which exactly the members of a set of

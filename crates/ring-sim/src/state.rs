@@ -1,25 +1,29 @@
 //! Mutable ring state and round execution.
 //!
 //! [`RingState`] owns the evolving ground truth of a deployment: which slot
-//! (initial position) each agent currently occupies. Protocols interact with
-//! it exclusively through [`RingState::execute_round`], supplying each
-//! agent's chosen [`LocalDirection`] and receiving each agent's
-//! [`Observation`] — already translated into the agent's own frame, exactly
-//! as the model prescribes.
+//! (initial position) each agent currently occupies. Every round rotates all
+//! agents by the same number of slots (Lemma 1), so the whole agent → slot
+//! map is one *rotation offset*: agent `a` occupies slot `(a + offset) mod n`.
+//! Protocols interact with the state exclusively through
+//! [`RingState::execute_round`], supplying each agent's chosen
+//! [`LocalDirection`] and receiving each agent's [`Observation`] — already
+//! translated into the agent's own frame, exactly as the model prescribes.
 
 use crate::analytic::{AnalyticEngine, AnalyticScratch};
 use crate::config::RingConfig;
 use crate::direction::{Chirality, LocalDirection, ObjectiveDirection};
 use crate::error::RingError;
 use crate::events::{EventEngine, EventScratch};
-use crate::geometry::{ArcLength, Point};
+use crate::geometry::{ArcLength, Point, CIRCUMFERENCE};
 use crate::observe::Observation;
 use crate::rotation::RotationIndex;
 
 /// Which physics engine executes the round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Exact, O(n)-per-round engine based on the rotation-index lemma.
+    /// Exact engine based on the rotation-index lemma: the state is one
+    /// rotation offset, and a round is a few contiguous O(n) passes in slot
+    /// space with no per-agent division or search.
     Analytic,
     /// Event-driven `f64` reference engine that simulates every collision.
     Event,
@@ -54,6 +58,9 @@ pub struct RoundBuffers {
     pub observations: Vec<Observation>,
     objective: Vec<ObjectiveDirection>,
     scratch: AnalyticScratch,
+    /// Agent → slot map spelled out for the event engine's slot-slice API
+    /// (filled on [`EngineKind::Event`] rounds only).
+    slots: Vec<usize>,
     events: EventScratch,
 }
 
@@ -74,7 +81,8 @@ impl RoundBuffers {
 #[derive(Clone, Debug)]
 pub struct RingState<'a> {
     config: &'a RingConfig,
-    slot_of_agent: Vec<usize>,
+    /// Agent `a` occupies slot `(a + offset) mod n`; always `< n`.
+    offset: usize,
     rounds_executed: u64,
 }
 
@@ -82,8 +90,8 @@ impl<'a> RingState<'a> {
     /// Creates a fresh state in which agent `i` occupies slot `i`.
     pub fn new(config: &'a RingConfig) -> Self {
         RingState {
-            slot_of_agent: (0..config.len()).collect(),
             config,
+            offset: 0,
             rounds_executed: 0,
         }
     }
@@ -108,18 +116,21 @@ impl<'a> RingState<'a> {
         self.rounds_executed
     }
 
+    /// The rotation offset: agent `a` currently occupies slot
+    /// `(a + offset) mod n`.
+    pub fn offset(&self) -> usize {
+        self.offset
+    }
+
     /// Slot currently occupied by `agent`.
     ///
     /// # Panics
     ///
     /// Panics if `agent >= n`.
     pub fn slot_of_agent(&self, agent: usize) -> usize {
-        self.slot_of_agent[agent]
-    }
-
-    /// The full agent → slot assignment.
-    pub fn slots(&self) -> &[usize] {
-        &self.slot_of_agent
+        let n = self.len();
+        assert!(agent < n, "agent {agent} out of range for n = {n}");
+        (agent + self.offset) % n
     }
 
     /// The current position of `agent`.
@@ -128,12 +139,12 @@ impl<'a> RingState<'a> {
     ///
     /// Panics if `agent >= n`.
     pub fn position_of_agent(&self, agent: usize) -> Point {
-        self.config.position(self.slot_of_agent[agent])
+        self.config.position(self.slot_of_agent(agent))
     }
 
     /// Whether every agent is back at its initial slot.
     pub fn at_initial_positions(&self) -> bool {
-        self.slot_of_agent.iter().enumerate().all(|(a, &s)| a == s)
+        self.offset == 0
     }
 
     /// Executes one round given each agent's chosen direction in its **own**
@@ -239,66 +250,68 @@ impl<'a> RingState<'a> {
         self.run_prepared_round(engine, bufs)
     }
 
-    /// Core of every round: executes `bufs.objective`, updating the slots
-    /// in place (a pointer swap with the scratch arena) and writing the
-    /// per-agent observations into `bufs.observations`.
+    /// Core of every round: executes `bufs.objective`, advancing the
+    /// rotation offset and writing the per-agent observations into
+    /// `bufs.observations`.
     fn run_prepared_round(
         &mut self,
         engine: EngineKind,
         bufs: &mut RoundBuffers,
     ) -> Result<RotationIndex, RingError> {
+        let n = self.len();
+        let offset = self.offset;
         let rotation = AnalyticEngine::new().execute_into(
-            self.config,
-            &self.slot_of_agent,
+            self.config.positions(),
+            offset,
             &bufs.objective,
             &mut bufs.scratch,
         );
+        // The analytic results are slot-ordered: agents `0..n − offset`
+        // occupy slots `offset..n`, agents `n − offset..n` slots `0..offset`.
         if engine == EngineKind::Event {
             // The event engine is the reference: use it for collisions, but
-            // keep the (exact) analytic displacement and slots, which the
+            // keep the (exact) analytic displacement and offset, which the
             // property tests show it agrees with. The reusable scratch keeps
             // the faulty-path reference executor allocation-free per round.
+            bufs.slots.clear();
+            bufs.slots.extend((offset..n).chain(0..offset));
             EventEngine::new().simulate_into(
                 self.config,
-                &self.slot_of_agent,
+                &bufs.slots,
                 &bufs.objective,
                 &mut bufs.events,
             );
-            bufs.scratch.first_collision.clear();
-            bufs.scratch.first_collision.extend(
-                bufs.events
-                    .first_collision
-                    .iter()
-                    .map(|c| c.map(ArcLength::from_fraction)),
-            );
+            let (wrapped, unwrapped) = bufs.scratch.first_collision.split_at_mut(offset);
+            let (from_unwrapped, from_wrapped) = bufs.events.first_collision.split_at(n - offset);
+            for (coll, event) in unwrapped
+                .iter_mut()
+                .zip(from_unwrapped)
+                .chain(wrapped.iter_mut().zip(from_wrapped))
+            {
+                *coll = event.map(ArcLength::from_fraction);
+            }
         }
 
-        // Observation writes stream three contiguous slices (chirality,
-        // displacement, collision) into the output vector — one linear pass
-        // with no per-agent indexing, which the optimiser can vectorise.
+        // One observation pass over the two agent segments, each streaming
+        // three contiguous slices (chirality, displacement, collision).
+        let (chir_unwrapped, chir_wrapped) = self.config.chiralities().split_at(n - offset);
+        let disp = &bufs.scratch.cw_displacement;
+        let coll = &bufs.scratch.first_collision;
         bufs.observations.clear();
-        bufs.observations.extend(
-            self.config
-                .chiralities()
-                .iter()
-                .zip(&bufs.scratch.cw_displacement)
-                .zip(&bufs.scratch.first_collision)
-                .map(|((&chir, &cw), &coll)| {
-                    let dist = match chir {
-                        Chirality::Aligned => cw,
-                        Chirality::Reversed => {
-                            if cw.is_zero() {
-                                cw
-                            } else {
-                                cw.complement()
-                            }
-                        }
-                    };
-                    Observation { dist, coll }
-                }),
-        );
+        bufs.observations.extend(observations(
+            chir_unwrapped,
+            &disp[offset..],
+            &coll[offset..],
+        ));
+        bufs.observations
+            .extend(observations(chir_wrapped, &disp[..offset], &coll[..offset]));
 
-        std::mem::swap(&mut self.slot_of_agent, &mut bufs.scratch.new_slot_of_agent);
+        let advanced = offset + rotation.shift;
+        self.offset = if advanced >= n {
+            advanced - n
+        } else {
+            advanced
+        };
         self.rounds_executed += 1;
         Ok(rotation)
     }
@@ -320,6 +333,30 @@ impl<'a> RingState<'a> {
         let reversed: Vec<LocalDirection> = local_directions.iter().map(|d| d.opposite()).collect();
         self.execute_round(&reversed, engine)
     }
+}
+
+/// Observations of a contiguous run of agents, from each agent's chirality
+/// and the displacement and first collision at its slot; the agent's own
+/// clockwise is the objective clockwise or its mirror image.
+fn observations<'s>(
+    chiralities: &'s [Chirality],
+    cw_displacement: &'s [ArcLength],
+    first_collision: &'s [Option<ArcLength>],
+) -> impl Iterator<Item = Observation> + 's {
+    chiralities
+        .iter()
+        .zip(cw_displacement)
+        .zip(first_collision)
+        .map(|((&chir, &cw), &coll)| {
+            // The mirror image of a clockwise arc `d < CIRCUMFERENCE` is
+            // `CIRCUMFERENCE − d`, and zero stays zero: one masked negation.
+            let mirrored = cw.ticks().wrapping_neg() & (CIRCUMFERENCE - 1);
+            let dist = match chir {
+                Chirality::Aligned => cw,
+                Chirality::Reversed => ArcLength::from_ticks(mirrored),
+            };
+            Observation { dist, coll }
+        })
 }
 
 #[cfg(test)]
@@ -457,7 +494,7 @@ mod tests {
                 assert_eq!(rotation, outcome.rotation);
                 assert_eq!(bufs.observations, outcome.observations);
                 assert_eq!(bufs.objective_directions(), outcome.objective_directions);
-                assert_eq!(plain.slots(), buffered.slots());
+                assert_eq!(plain.offset(), buffered.offset());
             }
             assert_eq!(plain.rounds_executed(), buffered.rounds_executed());
         }
@@ -480,6 +517,6 @@ mod tests {
             .execute_round(&dirs, EngineKind::Analytic)
             .unwrap();
         event_ring.execute_round(&dirs, EngineKind::Event).unwrap();
-        assert_eq!(analytic_ring.slots(), event_ring.slots());
+        assert_eq!(analytic_ring.offset(), event_ring.offset());
     }
 }

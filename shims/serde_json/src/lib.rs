@@ -29,6 +29,12 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+/// The deepest array/object nesting [`from_str`] accepts (the real crate's
+/// recursion limit). The parser recurses once per level, so a deeper
+/// document from an untrusted peer is rejected instead of overflowing the
+/// stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document into the shim [`Value`] model.
 ///
 /// Unlike the real crate this is not generic over `Deserialize` (the shim's
@@ -37,11 +43,12 @@ impl std::error::Error for Error {}
 ///
 /// # Errors
 ///
-/// Returns an [`Error`] describing the first malformed byte.
+/// Returns an [`Error`] describing the first malformed byte, or the first
+/// container nested deeper than [`MAX_DEPTH`].
 pub fn from_str(text: &str) -> Result<Value, Error> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error::parse(pos, "trailing characters after the document"));
@@ -67,8 +74,15 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), Error> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parses one value; `depth` counts the arrays and objects enclosing it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(Error::parse(
+            *pos,
+            format!("nesting deeper than {MAX_DEPTH} levels"),
+        ));
+    }
     match bytes.get(*pos) {
         None => Err(Error::parse(*pos, "unexpected end of input")),
         Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
@@ -84,7 +98,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -109,7 +123,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -447,6 +461,24 @@ mod tests {
             "{\"a\":1}x",
         ] {
             assert!(from_str(bad).is_err(), "accepted malformed input {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(from_str(&nested(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(from_str(&nested(MAX_DEPTH, "{\"k\":", "}").replace(":}", ":1}")).is_ok());
+        for deep in [
+            nested(MAX_DEPTH + 1, "[", "]"),
+            nested(MAX_DEPTH + 1, "{\"k\":", "}").replace(":}", ":1}"),
+            // Far past any stack: rejected at the cap, not a crash.
+            "[".repeat(200_000),
+        ] {
+            let err = from_str(&deep).unwrap_err().to_string();
+            assert!(err.contains("nesting deeper than 128 levels"), "{err}");
         }
     }
 
