@@ -7,15 +7,17 @@
 //! * the public knowledge every agent shares — the identifier universe `N`,
 //!   the parity of `n`, and the model;
 //! * each agent's private input — its own identifier;
-//! * [`Network::step`], which executes one synchronised round: it takes the
-//!   direction chosen by every agent *in that agent's own frame*, enforces
-//!   the model's restrictions, and returns every agent's [`Observation`],
-//!   again in the agent's own frame, with collision information stripped
-//!   unless the model is perceptive.
+//! * [`Network::step_into`], which executes one synchronised round: it
+//!   takes the direction chosen by every agent *in that agent's own frame*,
+//!   enforces the model's restrictions, and writes every agent's
+//!   [`Observation`] into a reusable [`StepBuffers`], again in the agent's
+//!   own frame, with collision information stripped unless the model is
+//!   perceptive.
 //!
 //! Protocol implementations in this crate are written as lockstep drivers:
 //! the same local rule is evaluated for every agent using only that agent's
-//! state, and the chosen directions are submitted together through `step`.
+//! state, and the chosen directions are submitted together through
+//! `step_into`.
 //! Tests validate the outputs against the ground truth, which remains
 //! accessible through the `ground_truth_*` methods (never used by protocol
 //! logic).
@@ -248,24 +250,9 @@ impl<'a> Network<'a> {
         self.rounds
     }
 
-    /// Executes one round.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the direction vector has the wrong length or an
-    /// agent idles in a non-lazy model.
-    pub fn step(
-        &mut self,
-        directions: &[LocalDirection],
-    ) -> Result<Vec<Observation>, ProtocolError> {
-        let mut bufs = StepBuffers::new();
-        self.step_into(directions, &mut bufs)?;
-        Ok(std::mem::take(&mut bufs.round.observations))
-    }
-
-    /// Executes one round into a caller-owned [`StepBuffers`] — the
-    /// zero-alloc variant of [`Network::step`]. Observations are read back
-    /// through [`StepBuffers::observations`].
+    /// Executes one round into a caller-owned [`StepBuffers`] (reused
+    /// across rounds, so warm rounds allocate nothing). Observations are
+    /// read back through [`StepBuffers::observations`].
     ///
     /// # Errors
     ///
@@ -350,22 +337,9 @@ impl<'a> Network<'a> {
 
     /// Executes one round in which every agent moves opposite to
     /// `directions` (the paper's `REVERSEDROUND`), restoring the positions
-    /// reached before the matching `step`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Network::step`].
-    pub fn step_reversed(
-        &mut self,
-        directions: &[LocalDirection],
-    ) -> Result<Vec<Observation>, ProtocolError> {
-        let reversed: Vec<LocalDirection> = directions.iter().map(|d| d.opposite()).collect();
-        self.step(&reversed)
-    }
-
-    /// Zero-alloc variant of [`Network::step_reversed`]: the reversed
-    /// directions are built in the buffer set's direction scratch and the
-    /// round executes through [`Network::step_into`].
+    /// reached before the matching [`Network::step_into`]. The reversed
+    /// directions are built in the buffer set's direction scratch, so the
+    /// round allocates nothing once the buffers are warm.
     ///
     /// # Errors
     ///
@@ -501,15 +475,16 @@ mod tests {
     fn idle_is_rejected_outside_the_lazy_model() {
         let (config, ids) = network(Model::Basic);
         let mut net = Network::new(&config, ids.clone(), Model::Basic).unwrap();
+        let mut bufs = StepBuffers::new();
         let mut dirs = vec![LocalDirection::Right; 6];
         dirs[3] = LocalDirection::Idle;
         assert!(matches!(
-            net.step(&dirs),
+            net.step_into(&dirs, &mut bufs),
             Err(ProtocolError::IdleForbidden { agent: 3, .. })
         ));
 
         let mut lazy = Network::new(&config, ids, Model::Lazy).unwrap();
-        assert!(lazy.step(&dirs).is_ok());
+        assert!(lazy.step_into(&dirs, &mut bufs).is_ok());
     }
 
     #[test]
@@ -525,26 +500,31 @@ mod tests {
             })
             .collect();
 
+        let mut bufs = StepBuffers::new();
         let mut basic = Network::new(&config, ids.clone(), Model::Basic).unwrap();
-        let obs = basic.step(&dirs).unwrap();
-        assert!(obs.iter().all(|o| o.coll.is_none()));
+        basic.step_into(&dirs, &mut bufs).unwrap();
+        assert!(bufs.observations().iter().all(|o| o.coll.is_none()));
 
         let mut perceptive = Network::new(&config, ids, Model::Perceptive).unwrap();
-        let obs = perceptive.step(&dirs).unwrap();
-        assert!(obs.iter().any(|o| o.coll.is_some()));
+        perceptive.step_into(&dirs, &mut bufs).unwrap();
+        assert!(bufs.observations().iter().any(|o| o.coll.is_some()));
     }
 
     #[test]
     fn round_counting_and_reversal() {
         let (config, ids) = network(Model::Basic);
         let mut net = Network::new(&config, ids, Model::Basic).unwrap();
+        let mut bufs = StepBuffers::new();
         let dirs = vec![LocalDirection::Right; 6];
-        net.step(&dirs).unwrap();
-        net.step_reversed(&dirs).unwrap();
+        net.step_into(&dirs, &mut bufs).unwrap();
+        net.step_reversed_into(&dirs, &mut bufs).unwrap();
         assert_eq!(net.rounds_used(), 2);
         assert!(net.ground_truth_at_initial_positions());
     }
 
+    /// Reusing one buffer set across rounds (the zero-alloc path) must
+    /// observe exactly what a fresh buffer set per round (the allocating
+    /// path) observes.
     #[test]
     fn buffered_step_matches_allocating_step() {
         let (config, ids) = network(Model::Perceptive);
@@ -561,9 +541,10 @@ mod tests {
                     }
                 })
                 .collect();
-            let obs = plain.step(&dirs).unwrap();
+            let mut fresh = StepBuffers::new();
+            plain.step_into(&dirs, &mut fresh).unwrap();
             buffered.step_into(&dirs, &mut bufs).unwrap();
-            assert_eq!(bufs.observations(), &obs[..]);
+            assert_eq!(bufs.observations(), fresh.observations());
             assert_eq!(plain.ground_truth_offset(), buffered.ground_truth_offset());
             for agent in 0..6 {
                 assert_eq!(
@@ -750,11 +731,12 @@ mod tests {
         let mut net = Network::new(&config, ids, Model::Basic)
             .unwrap()
             .with_round_limit(2);
+        let mut bufs = StepBuffers::new();
         let dirs = vec![LocalDirection::Right; 6];
-        net.step(&dirs).unwrap();
-        net.step(&dirs).unwrap();
+        net.step_into(&dirs, &mut bufs).unwrap();
+        net.step_into(&dirs, &mut bufs).unwrap();
         assert!(matches!(
-            net.step(&dirs),
+            net.step_into(&dirs, &mut bufs),
             Err(ProtocolError::RoundLimitReached { limit: 2 })
         ));
         // The limit is checked before execution: the round count stays put.

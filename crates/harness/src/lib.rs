@@ -15,9 +15,10 @@
 //!   strong-distinguisher sequences, selective families) keyed by
 //!   `(kind, N, n, seed)`, shared by every worker thread. Tier 2 — the
 //!   [`StructureStore`](store::StructureStore)'s optional on-disk
-//!   directory of `structure-store/v1` files — extends the memo across
-//!   worker *processes*: the first worker of a fleet to claim a key
-//!   constructs and publishes, everyone else loads bit-identical bytes.
+//!   `structure-store/v2` directory (content-addressed blobs plus a
+//!   per-key index) — extends the memo across worker *processes*: the
+//!   first worker of a fleet to claim a key constructs and publishes,
+//!   everyone else loads bit-identical bytes.
 //!   The store implements
 //!   [`StructureProvider`](ring_protocols::structures::StructureProvider),
 //!   so every worker's `Network` draws from the same pathway and each
@@ -28,15 +29,11 @@
 //!   case order via a reorder buffer.
 //! * [`scenario`] / [`engine`] — [`WorkItem`](scenario::WorkItem)s wrap
 //!   the per-case experiment functions of `ring-experiments`;
-//!   [`SweepEngine`](engine::SweepEngine) ties the three layers together.
-//!   With `--batch N` the engine schedules consecutive same-shape cases
-//!   as one [`CaseBatch`](engine::CaseBatch) work unit that resolves its
-//!   shared structures once per batch — a pure scheduling change whose
-//!   output stays byte-identical at every limit.
+//!   [`SweepEngine`](engine::SweepEngine) ties the three layers together,
+//!   scheduling each case as one work-stealing unit.
 //!
-//! [`cli`] exposes everything as the **`ringlab`** binary; the former
-//! per-experiment binaries (`table1` … `repro_all`) are thin wrappers over
-//! its subcommands:
+//! [`cli`] exposes everything as the **`ringlab`** binary, one subcommand
+//! per experiment:
 //!
 //! ```text
 //! ringlab all --quick --jobs 2
@@ -79,7 +76,7 @@ pub mod sink;
 pub mod store;
 
 pub use cache::{CacheStats, StructureCache};
-pub use engine::{plan_batches, CaseBatch, SweepEngine};
+pub use engine::SweepEngine;
 pub use executor::{available_jobs, run_work_stealing};
 pub use scenario::{CaseRecord, WorkItem};
 pub use sink::JsonlSink;

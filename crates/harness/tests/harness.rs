@@ -48,11 +48,10 @@ fn jsonl_output_is_byte_identical_across_job_counts() {
     }
 }
 
-/// Case batching is a pure scheduling change: with and without the
-/// structure store, on clean and faulty specs, at one and two jobs, the
-/// batched sweep streams exactly the unbatched bytes and records.
+/// With and without the structure store, on clean and faulty specs, at one
+/// and two jobs, a sweep streams exactly the serial storeless bytes.
 #[test]
-fn batched_sweeps_are_byte_identical_to_unbatched_sweeps() {
+fn sweeps_are_byte_identical_across_jobs_and_store() {
     let clean = test_spec();
     let faulty = SweepSpec {
         faults: Some(ring_experiments::FaultAxes {
@@ -63,7 +62,7 @@ fn batched_sweeps_are_byte_identical_to_unbatched_sweeps() {
         }),
         ..test_spec()
     };
-    let dir = std::env::temp_dir().join(format!("ring-harness-batch-e2e-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("ring-harness-store-e2e-{}", std::process::id()));
     for (label, spec) in [("clean", &clean), ("faulty", &faulty)] {
         let mut items = table1_items(spec);
         items.extend(table2_items(spec));
@@ -74,30 +73,24 @@ fn batched_sweeps_are_byte_identical_to_unbatched_sweeps() {
             assert_eq!(records.len(), items.len());
             sink.finish()
         };
+        std::fs::remove_dir_all(&dir).ok();
         for jobs in [1, 2] {
-            for batch in [2, 16] {
-                // Storeless…
-                let engine = SweepEngine::new(jobs).with_batch_limit(batch);
-                let sink = JsonlSink::new(Vec::new());
-                engine.run(&items, Some(&sink));
-                assert_eq!(
-                    sink.finish(),
-                    reference,
-                    "{label}: jobs {jobs}, batch {batch} diverged"
-                );
-                // …and against a disk-backed store (cold on the first
-                // combination, warm afterwards — both must be invisible).
-                std::fs::remove_dir_all(&dir).ok();
-                let store = Arc::new(StructureStore::at(&dir).unwrap());
-                let engine = SweepEngine::with_store(jobs, store).with_batch_limit(batch);
-                let sink = JsonlSink::new(Vec::new());
-                engine.run(&items, Some(&sink));
-                assert_eq!(
-                    sink.finish(),
-                    reference,
-                    "{label}: store-backed jobs {jobs}, batch {batch} diverged"
-                );
-            }
+            // Storeless…
+            let engine = SweepEngine::new(jobs);
+            let sink = JsonlSink::new(Vec::new());
+            engine.run(&items, Some(&sink));
+            assert_eq!(sink.finish(), reference, "{label}: jobs {jobs} diverged");
+            // …and against a disk-backed store (cold at one job, warm at
+            // two — both must be invisible).
+            let store = Arc::new(StructureStore::at(&dir).unwrap());
+            let engine = SweepEngine::with_store(jobs, store);
+            let sink = JsonlSink::new(Vec::new());
+            engine.run(&items, Some(&sink));
+            assert_eq!(
+                sink.finish(),
+                reference,
+                "{label}: store-backed jobs {jobs} diverged"
+            );
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -266,10 +259,10 @@ fn enumerated_structure_keys_cover_a_full_sweep() {
 }
 
 /// The seed-diverse storage acceptance: prebuilding a K-seed sweep into a
-/// content-addressed v2 store publishes O(structures) blobs — one shared
-/// strong blob per universe — and strictly fewer bytes than the K
-/// independent per-seed files the v1 layout would hold; a sweep against
-/// the prebuilt store then reports zero store misses.
+/// content-addressed store publishes O(structures) blobs — one shared
+/// strong blob per universe — and strictly fewer bytes than one blob per
+/// logical key (K per universe) would take; a sweep against the prebuilt
+/// store then reports zero store misses.
 #[test]
 fn seed_diverse_store_beats_one_file_per_seed_and_serves_zero_miss() {
     use ring_combinat::StructureKind;
@@ -304,20 +297,34 @@ fn seed_diverse_store_beats_one_file_per_seed_and_serves_zero_miss() {
         "2 even universes x 4 schedule seeds: {strong_keys:?}"
     );
 
-    let base = std::env::temp_dir().join(format!("ring-harness-seeded-{}", std::process::id()));
-    std::fs::remove_dir_all(&base).ok();
-    let v1_dir = base.join("v1");
-    let v2_dir = base.join("v2");
-    std::fs::create_dir_all(&v1_dir).unwrap();
+    let store_dir =
+        std::env::temp_dir().join(format!("ring-harness-seeded-{}", std::process::id()));
+    std::fs::remove_dir_all(&store_dir).ok();
 
-    // The v1 layout: one full file per (strong, universe, seed) key.
-    for (key, hint) in &keys {
-        ring_harness::store::write_v1_file(&v1_dir, key, *hint).unwrap();
-    }
-    // The v2 layout: the same prebuild demand against a content-addressed
-    // store (every seed view materialised to its full prefix, then flushed).
+    // The counterfactual: one blob per logical key, each strong seed view
+    // holding its own full prefix.
+    let per_seed_bytes: u64 = keys
+        .iter()
+        .map(|(key, hint)| {
+            let count = match key.kind {
+                StructureKind::StrongDistinguisher => {
+                    ring_combinat::SharedStrongDistinguisher::new(key.universe, key.seed)
+                        .prefix_size_for((*hint).max(2))
+                }
+                StructureKind::Distinguisher => fresh_structures()
+                    .distinguisher(key.universe, key.n as usize, key.seed)
+                    .len(),
+                StructureKind::SelectiveFamily => fresh_structures()
+                    .selective_family(key.universe, key.n as usize, key.seed)
+                    .len(),
+            };
+            ring_combinat::codec::blob_len(key.universe, count) as u64
+        })
+        .sum();
+    // The same prebuild demand against a content-addressed store (every
+    // seed view materialised to its full prefix, then flushed).
     {
-        let store = StructureStore::at(&v2_dir).unwrap();
+        let store = StructureStore::at(&store_dir).unwrap();
         for (key, hint) in &keys {
             match key.kind {
                 StructureKind::StrongDistinguisher => {
@@ -352,14 +359,13 @@ fn seed_diverse_store_beats_one_file_per_seed_and_serves_zero_miss() {
         walk(dir, &mut total);
         total
     };
-    let v1_bytes = dir_bytes(&v1_dir);
-    let v2_bytes = dir_bytes(&v2_dir);
+    let store_bytes = dir_bytes(&store_dir);
     assert!(
-        v2_bytes < v1_bytes,
-        "content addressing must beat one-file-per-seed: v2 {v2_bytes} vs v1 {v1_bytes} bytes"
+        store_bytes < per_seed_bytes,
+        "content addressing must beat one blob per seed: {store_bytes} vs {per_seed_bytes} bytes"
     );
     // O(structures) blobs, not O(K) copies: one strong blob per universe.
-    let stats = ring_harness::store::store_dir_stats(&v2_dir).unwrap();
+    let stats = ring_harness::store::store_dir_stats(&store_dir).unwrap();
     assert_eq!(stats.strong.blobs, 2);
     assert!(stats.strong.dedup_ratio >= 1.0);
 
@@ -371,7 +377,7 @@ fn seed_diverse_store_beats_one_file_per_seed_and_serves_zero_miss() {
         engine.run(&items, Some(&sink));
         sink.finish()
     };
-    let engine = SweepEngine::with_store(2, Arc::new(StructureStore::at(&v2_dir).unwrap()));
+    let engine = SweepEngine::with_store(2, Arc::new(StructureStore::at(&store_dir).unwrap()));
     let sink = JsonlSink::new(Vec::new());
     engine.run(&items, Some(&sink));
     assert_eq!(sink.finish(), reference);
@@ -381,7 +387,7 @@ fn seed_diverse_store_beats_one_file_per_seed_and_serves_zero_miss() {
         "a prebuilt v2 store must serve everything"
     );
     assert!(store_stats.hits > 0);
-    std::fs::remove_dir_all(&base).ok();
+    std::fs::remove_dir_all(&store_dir).ok();
 }
 
 /// The gc-vs-claim race: while publishers are busy claiming keys and

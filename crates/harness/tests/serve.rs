@@ -472,6 +472,37 @@ fn deeply_nested_submissions_are_rejected_and_the_daemon_survives() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A request claiming the largest possible body is refused from its head
+/// alone; before the body cap, `Content-Length: 2^64 - 1` wrapped the
+/// parser's body-end arithmetic and panicked the daemon's main thread.
+#[test]
+fn oversized_content_lengths_are_refused_and_the_daemon_survives() {
+    let dir = temp_dir("huge-length");
+    let daemon = start_daemon(&dir, &[]);
+
+    let mut stream = std::net::TcpStream::connect(&daemon.addr).expect("connect to daemon");
+    stream
+        .write_all(
+            b"POST /v1/runs HTTP/1.1\r\nContent-Length: 18446744073709551615\r\n\
+              Connection: close\r\n\r\n",
+        )
+        .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let status: u16 = response
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("no status line: {response:?}"));
+    assert!((400..500).contains(&status), "status {status}: {response}");
+    let (status, body) = http(&daemon.addr, "GET", "/v1/healthz", "");
+    assert_eq!(status, 200);
+    assert!(body.contains("ring-serve/v1"), "healthz: {body}");
+
+    shutdown(daemon, Vec::new());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The service rejects what it cannot run — bad JSON, unknown
 /// subcommands, zero-case specs — with a 400 and a reason, and serves its
 /// health and worker inventory endpoints.

@@ -215,7 +215,9 @@ enum ConnVerdict {
 fn step_connection(daemon: &Arc<Daemon>, conn: &mut PendingConn) -> ConnVerdict {
     let mut eof = false;
     let mut chunk = [0u8; 4096];
-    loop {
+    // A buffer this long always parses to a request or a refusal, so one
+    // client can never make it grow further.
+    while conn.buf.len() <= http::MAX_HEAD + 4 + http::MAX_BODY {
         match conn.stream.read(&mut chunk) {
             Ok(0) => {
                 eof = true;
@@ -245,8 +247,8 @@ fn step_connection(daemon: &Arc<Daemon>, conn: &mut PendingConn) -> ConnVerdict 
                 return ConnVerdict::Done;
             }
             Ok(None) => {}
-            Err(reason) => {
-                respond(conn, &http::error_response(400, "Bad Request", &reason));
+            Err(refusal) => {
+                respond(conn, &refusal.response());
                 return ConnVerdict::Done;
             }
         }

@@ -11,6 +11,50 @@
 
 use serde::Value;
 
+/// The largest request head (request line plus headers) the daemon
+/// accepts; a longer one is refused with a 400.
+pub const MAX_HEAD: usize = 64 * 1024;
+
+/// The largest request body the daemon accepts. A sweep spec is a few
+/// hundred bytes; a request claiming more is refused with a 413 before any
+/// of its body is buffered.
+pub const MAX_BODY: usize = 1 << 20;
+
+/// Why a request was refused before it was complete.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RequestError {
+    /// A malformed request line or header block (answered with 400).
+    Malformed(String),
+    /// A `Content-Length` above [`MAX_BODY`] (answered with 413).
+    BodyTooLarge(u64),
+}
+
+impl RequestError {
+    /// The error response the daemon sends for this refusal.
+    pub fn response(&self) -> Vec<u8> {
+        match self {
+            RequestError::Malformed(reason) => error_response(400, "Bad Request", reason),
+            RequestError::BodyTooLarge(claimed) => error_response(
+                413,
+                "Payload Too Large",
+                &format!("request body of {claimed} bytes exceeds the {MAX_BODY}-byte limit"),
+            ),
+        }
+    }
+}
+
+impl From<String> for RequestError {
+    fn from(reason: String) -> Self {
+        RequestError::Malformed(reason)
+    }
+}
+
+impl From<&str> for RequestError {
+    fn from(reason: &str) -> Self {
+        RequestError::Malformed(reason.to_string())
+    }
+}
+
 /// A parsed HTTP request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Request {
@@ -30,18 +74,19 @@ pub struct Request {
 ///
 /// # Errors
 ///
-/// Returns a description of a malformed request line or header block.
-pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, String> {
-    let Some(head_end) = find_blank_line(buf) else {
+/// [`RequestError::Malformed`] for a malformed request line or header
+/// block, [`RequestError::BodyTooLarge`] as soon as the head claims a body
+/// above [`MAX_BODY`].
+pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, RequestError> {
+    let Some(head_end) = find_blank_line(&buf[..buf.len().min(MAX_HEAD + 4)]) else {
         // An absurdly long header block is an attack or a confused peer,
         // not a slow request.
-        if buf.len() > 64 * 1024 {
+        if buf.len() > MAX_HEAD {
             return Err("request header block exceeds 64 KiB".into());
         }
         return Ok(None);
     };
-    let head = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| "request head is not UTF-8".to_string())?;
+    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| "request head is not UTF-8")?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
@@ -52,9 +97,9 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, String> {
     let path = parts.next().ok_or("request line has no path")?.to_string();
     let version = parts.next().ok_or("request line has no version")?;
     if !version.starts_with("HTTP/1.") {
-        return Err(format!("unsupported protocol `{version}`"));
+        return Err(format!("unsupported protocol `{version}`").into());
     }
-    let mut content_length = 0usize;
+    let mut content_length = 0u64;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
@@ -65,15 +110,16 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, String> {
             }
         }
     }
-    let body_start = head_end + 4;
-    if buf.len() < body_start + content_length {
+    let content_length = usize::try_from(content_length)
+        .ok()
+        .filter(|&len| len <= MAX_BODY)
+        .ok_or(RequestError::BodyTooLarge(content_length))?;
+    let body_end = head_end + 4 + content_length;
+    if buf.len() < body_end {
         return Ok(None);
     }
-    let body = buf[body_start..body_start + content_length].to_vec();
-    Ok(Some((
-        Request { method, path, body },
-        body_start + content_length,
-    )))
+    let body = buf[head_end + 4..body_end].to_vec();
+    Ok(Some((Request { method, path, body }, body_end)))
 }
 
 /// The position of the `\r\n\r\n` separating head from body.
@@ -144,6 +190,31 @@ mod tests {
         assert!(parse_request(b"NOT-HTTP\r\n\r\n").is_err());
         assert!(parse_request(b"GET /x SPDY/3\r\n\r\n").is_err());
         assert!(parse_request(b"GET /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n").is_err());
+    }
+
+    #[test]
+    fn oversized_bodies_are_refused_from_the_head() {
+        // The largest Content-Length used to wrap `body_start + length`
+        // and panic on the body slice.
+        let wire = b"POST /v1/runs HTTP/1.1\r\nContent-Length: 18446744073709551615\r\n\r\n";
+        assert_eq!(
+            parse_request(wire),
+            Err(RequestError::BodyTooLarge(u64::MAX))
+        );
+        // Anything above the cap is refused before its body arrives…
+        let over = format!(
+            "POST /v1/runs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
+        assert_eq!(
+            parse_request(over.as_bytes()),
+            Err(RequestError::BodyTooLarge(MAX_BODY as u64 + 1))
+        );
+        let response = String::from_utf8(RequestError::BodyTooLarge(7).response()).unwrap();
+        assert!(response.starts_with("HTTP/1.1 413 "), "{response}");
+        // …while a body at the cap is still just incomplete.
+        let at = format!("POST /v1/runs HTTP/1.1\r\nContent-Length: {MAX_BODY}\r\n\r\n");
+        assert_eq!(parse_request(at.as_bytes()), Ok(None));
     }
 
     #[test]
