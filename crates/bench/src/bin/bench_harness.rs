@@ -353,15 +353,8 @@ fn run_sharded_pass(
         SpecParams {
             subcommand: "bench-harness".into(),
             quick,
-            sizes: None,
-            universe_factors: None,
-            reps: None,
-            seed: None,
             structure_seeds: seeded.then_some(4),
-            fault_drops: None,
-            fault_crashes: None,
-            fault_churn: None,
-            fault_adversarial: false,
+            ..Default::default()
         },
         if seeded {
             seeded_fingerprint(quick)

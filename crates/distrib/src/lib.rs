@@ -56,7 +56,10 @@ pub mod plan;
 pub mod protocol;
 
 pub use checksum::{digest_file, format_checksum, FileDigest, Fnv1a64};
-pub use manifest::{shard_file_name, Manifest, ShardEntry, ShardStats, ShardStatus, SpecParams};
+pub use manifest::{
+    shard_file_name, spec_flag, Manifest, ShardEntry, ShardStats, ShardStatus, SpecFlag,
+    SpecParams, SPEC_FLAGS,
+};
 pub use merge::{merge_shards, MergeError, MergeReport};
 pub use orchestrator::{
     run_pending_shards, run_pending_shards_with, OrchestratorOptions, ProcessTransport, RunOutcome,

@@ -145,12 +145,14 @@ impl ShardEntry {
     }
 }
 
-/// The spec parameters a worker or `resume` needs to re-enumerate the run's
-/// cases: the `ringlab` subcommand plus the flag overrides it was given.
-/// `None` means "the subcommand's default".
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+/// The sweep spec: the `ringlab` experiment subcommand plus the overrides
+/// of its case grid. It is the one representation of a spec — the CLI
+/// parses its flags into it, a manifest records it, a daemon submission
+/// carries it — and the only input `resume` and workers need to
+/// re-enumerate a run's cases. `None` means "the subcommand's default".
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct SpecParams {
-    /// The `ringlab` subcommand whose item list is sharded.
+    /// The experiment subcommand whose cases the spec enumerates.
     pub subcommand: String,
     /// Whether `--quick` sizes were in force.
     pub quick: bool,
@@ -195,7 +197,7 @@ impl SpecParams {
     pub fn from_json(value: &Value) -> Result<Self, String> {
         Ok(SpecParams {
             subcommand: require_str(value, "subcommand")?,
-            quick: value.get("quick").and_then(Value::as_bool).unwrap_or(false),
+            quick: optional_bool(value, "quick")?,
             sizes: optional_u64_list(value, "sizes")?
                 .map(|list| list.into_iter().map(|v| v as usize).collect()),
             universe_factors: optional_u64_list(value, "universe_factors")?,
@@ -209,19 +211,17 @@ impl SpecParams {
             fault_drops: optional_u64_list(value, "fault_drops")?,
             fault_crashes: optional_u64(value, "fault_crashes")?,
             fault_churn: optional_u64(value, "fault_churn")?,
-            fault_adversarial: value
-                .get("fault_adversarial")
-                .and_then(Value::as_bool)
-                .unwrap_or(false),
+            fault_adversarial: optional_bool(value, "fault_adversarial")?,
         })
     }
 
     /// The `ringlab` argv (minus the binary) that makes a worker execute
     /// `range` of this spec: `worker <subcommand> --shard i/M …` plus
-    /// exactly the override flags the spec records. Every dispatcher —
-    /// `ringlab --shards`, `resume`, and the `ring-serve` daemon's TCP job
-    /// frames — builds worker invocations through this one function, so a
-    /// shard reruns identically no matter who launches it.
+    /// exactly the override flags the spec records, rendered by
+    /// [`SPEC_FLAGS`]. Every dispatcher — `ringlab --shards`, `resume`, and
+    /// the `ring-serve` daemon's TCP job frames — builds worker invocations
+    /// through this one function, so a shard reruns identically no matter
+    /// who launches it.
     pub fn worker_args(
         &self,
         jobs_per_worker: usize,
@@ -241,52 +241,147 @@ impl SpecParams {
             args.push("--structure-store".into());
             args.push(structure_store.to_string());
         }
-        if self.quick {
-            args.push("--quick".into());
-        }
-        if let Some(sizes) = &self.sizes {
-            args.push("--sizes".into());
-            args.push(join_list(sizes));
-        }
-        if let Some(factors) = &self.universe_factors {
-            args.push("--universe-factors".into());
-            args.push(join_list(factors));
-        }
-        if let Some(reps) = self.reps {
-            args.push("--reps".into());
-            args.push(reps.to_string());
-        }
-        if let Some(seed) = self.seed {
-            args.push("--seed".into());
-            args.push(seed.to_string());
-        }
-        if let Some(k) = self.structure_seeds {
-            args.push("--structure-seed-mode".into());
-            args.push("per-case".into());
-            args.push("--structure-seeds".into());
-            args.push(k.to_string());
-        }
-        if let Some(drops) = &self.fault_drops {
-            args.push("--fault-drops".into());
-            args.push(join_list(drops));
-        }
-        if let Some(crashes) = self.fault_crashes {
-            args.push("--fault-crashes".into());
-            args.push(crashes.to_string());
-        }
-        if let Some(churn) = self.fault_churn {
-            args.push("--fault-churn".into());
-            args.push(churn.to_string());
-        }
-        if self.fault_adversarial {
-            args.push("--fault-adversarial".into());
+        for flag in SPEC_FLAGS {
+            if let Some(operand) = (flag.render)(self) {
+                args.push(flag.name.to_string());
+                if !flag.is_switch() {
+                    args.push(operand);
+                }
+            }
         }
         args
     }
 }
 
+/// One spec flag of the `ringlab` argv: its name, how a spec renders it
+/// and how its operand parses back into a spec. [`SPEC_FLAGS`] is the one
+/// list of them — the CLI parser and [`SpecParams::worker_args`] both walk
+/// it, so a spec flag cannot be parsed but forgotten in worker argv.
+pub struct SpecFlag {
+    /// The flag as written on the command line (`--sizes`).
+    pub name: &'static str,
+    /// The operand's placeholder in usage text; empty for a bare switch
+    /// (`--quick`).
+    pub operand: &'static str,
+    /// The flag's operand for a spec (empty for a set switch), or `None`
+    /// when the spec leaves the flag unset.
+    render: fn(&SpecParams) -> Option<String>,
+    /// Records the flag's operand (empty for a switch) in a spec.
+    parse: fn(&mut SpecParams, &str) -> Result<(), String>,
+}
+
+impl SpecFlag {
+    /// Whether the flag is a bare switch, taking no operand.
+    pub fn is_switch(&self) -> bool {
+        self.operand.is_empty()
+    }
+
+    /// Records the flag with its operand (empty for a switch) in `spec`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage message when the operand does not parse. Only the
+    /// syntax is checked here; whether the value makes a runnable spec is
+    /// the scenario resolver's call.
+    pub fn apply(&self, spec: &mut SpecParams, operand: &str) -> Result<(), String> {
+        (self.parse)(spec, operand).map_err(|e| format!("{}: {e}", self.name))
+    }
+}
+
+/// The spec flag named `name`, if it is one.
+pub fn spec_flag(name: &str) -> Option<&'static SpecFlag> {
+    SPEC_FLAGS.iter().find(|flag| flag.name == name)
+}
+
+/// Every spec flag, in the order worker argv renders them. A flag is
+/// spec-affecting exactly when it is listed here (one per [`SpecParams`]
+/// field besides `subcommand`); every other `ringlab` flag is runtime-only.
+pub const SPEC_FLAGS: &[SpecFlag] = &[
+    SpecFlag {
+        name: "--quick",
+        operand: "",
+        render: |spec| spec.quick.then(String::new),
+        parse: |spec, _| {
+            spec.quick = true;
+            Ok(())
+        },
+    },
+    SpecFlag {
+        name: "--sizes",
+        operand: "a,b,..",
+        render: |spec| spec.sizes.as_deref().map(join_list),
+        parse: |spec, text| parse_list(text).map(|v| spec.sizes = Some(v)),
+    },
+    SpecFlag {
+        name: "--universe-factors",
+        operand: "a,b,..",
+        render: |spec| spec.universe_factors.as_deref().map(join_list),
+        parse: |spec, text| parse_list(text).map(|v| spec.universe_factors = Some(v)),
+    },
+    SpecFlag {
+        name: "--reps",
+        operand: "K",
+        render: |spec| spec.reps.map(|reps| reps.to_string()),
+        parse: |spec, text| parse_int(text).map(|v| spec.reps = Some(v)),
+    },
+    SpecFlag {
+        name: "--seed",
+        operand: "S",
+        render: |spec| spec.seed.map(|seed| seed.to_string()),
+        parse: |spec, text| parse_int(text).map(|v| spec.seed = Some(v)),
+    },
+    SpecFlag {
+        name: "--structure-seeds",
+        operand: "K",
+        render: |spec| spec.structure_seeds.map(|k| k.to_string()),
+        parse: |spec, text| parse_int(text).map(|v| spec.structure_seeds = Some(v)),
+    },
+    SpecFlag {
+        name: "--fault-drops",
+        operand: "a,b,..",
+        render: |spec| spec.fault_drops.as_deref().map(join_list),
+        parse: |spec, text| parse_list(text).map(|v| spec.fault_drops = Some(v)),
+    },
+    SpecFlag {
+        name: "--fault-crashes",
+        operand: "K",
+        render: |spec| spec.fault_crashes.map(|k| k.to_string()),
+        parse: |spec, text| parse_int(text).map(|v| spec.fault_crashes = Some(v)),
+    },
+    SpecFlag {
+        name: "--fault-churn",
+        operand: "K",
+        render: |spec| spec.fault_churn.map(|k| k.to_string()),
+        parse: |spec, text| parse_int(text).map(|v| spec.fault_churn = Some(v)),
+    },
+    SpecFlag {
+        name: "--fault-adversarial",
+        operand: "",
+        render: |spec| spec.fault_adversarial.then(String::new),
+        parse: |spec, _| {
+            spec.fault_adversarial = true;
+            Ok(())
+        },
+    },
+];
+
 fn join_list<T: std::fmt::Display>(items: &[T]) -> String {
     items.iter().map(T::to_string).collect::<Vec<_>>().join(",")
+}
+
+fn parse_int<T: std::str::FromStr>(text: &str) -> Result<T, String> {
+    text.trim()
+        .parse()
+        .map_err(|_| format!("`{text}` is not a non-negative integer"))
+}
+
+/// A comma-separated integer list; empty parts are skipped, so `,` is the
+/// empty list (which the resolver then refuses).
+fn parse_list<T: std::str::FromStr>(text: &str) -> Result<Vec<T>, String> {
+    text.split(',')
+        .filter(|part| !part.is_empty())
+        .map(parse_int)
+        .collect()
 }
 
 /// The run manifest.
@@ -646,6 +741,16 @@ fn optional_u64(value: &Value, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
+fn optional_bool(value: &Value, key: &str) -> Result<bool, String> {
+    match value.get(key) {
+        None => Ok(false),
+        Some(v) if v.is_null() => Ok(false),
+        Some(v) => v
+            .as_bool()
+            .ok_or_else(|| format!("spec `{key}` is not a boolean")),
+    }
+}
+
 fn optional_u64_list(value: &Value, key: &str) -> Result<Option<Vec<u64>>, String> {
     match value.get(key) {
         None => Ok(None),
@@ -676,14 +781,8 @@ mod tests {
             subcommand: "sweep".into(),
             quick: true,
             sizes: Some(vec![9, 8]),
-            universe_factors: None,
             reps: Some(2),
-            seed: None,
-            structure_seeds: None,
-            fault_drops: None,
-            fault_crashes: None,
-            fault_churn: None,
-            fault_adversarial: false,
+            ..Default::default()
         };
         Manifest::new(
             spec,
@@ -904,5 +1003,29 @@ mod tests {
     fn wrong_schema_is_rejected() {
         let value = serde_json::from_str("{\"schema\":\"ring-distrib/v0\"}").unwrap();
         assert!(Manifest::from_json(&value).unwrap_err().contains("schema"));
+    }
+
+    #[test]
+    fn spec_booleans_must_be_booleans() {
+        let parse = |text: &str| SpecParams::from_json(&serde_json::from_str(text).unwrap());
+        let spec =
+            parse(r#"{"subcommand":"faults","quick":true,"fault_adversarial":true}"#).unwrap();
+        assert!(spec.quick && spec.fault_adversarial);
+        // Absent or null is the default.
+        assert!(
+            !parse(r#"{"subcommand":"sweep","quick":null}"#)
+                .unwrap()
+                .quick
+        );
+        // A mistyped boolean used to read as `false`.
+        for body in [
+            r#"{"subcommand":"sweep","quick":"yes"}"#,
+            r#"{"subcommand":"sweep","quick":1}"#,
+            r#"{"subcommand":"faults","fault_adversarial":1}"#,
+            r#"{"subcommand":"faults","fault_adversarial":"true"}"#,
+        ] {
+            let error = parse(body).unwrap_err();
+            assert!(error.contains("not a boolean"), "{body}: {error}");
+        }
     }
 }

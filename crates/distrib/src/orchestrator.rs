@@ -610,15 +610,7 @@ mod tests {
             SpecParams {
                 subcommand: "sweep".into(),
                 quick: true,
-                sizes: None,
-                universe_factors: None,
-                reps: None,
-                seed: None,
-                structure_seeds: None,
-                fault_drops: None,
-                fault_crashes: None,
-                fault_churn: None,
-                fault_adversarial: false,
+                ..Default::default()
             },
             "0xfeed".into(),
             total,

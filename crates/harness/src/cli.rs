@@ -71,17 +71,13 @@
 //!                             for sharded runs), constructing each one
 //!                             once per fleet and loading it everywhere
 //!                             else; output stays byte-identical
-//!   --structure-seed-mode fixed|per-case
-//!                             structure-seed schedule of the sweep: fixed
-//!                             (default) hands every case the protocol's
-//!                             STRUCTURE_SEED; per-case rotates the cases
-//!                             through K distinct schedule seeds, so
-//!                             repetitions additionally sample structure
-//!                             randomness (seed-diverse sweeps). Against a
-//!                             v2 store the K seeds share one strong blob
-//!                             per universe.
-//!   --structure-seeds K       number of schedule seeds in per-case mode
-//!                             (default 4; implies per-case)
+//!   --structure-seeds K       seed-diverse sweep: rotate the cases
+//!                             through K distinct structure-schedule seeds
+//!                             (1 ≤ K ≤ 64), so repetitions additionally
+//!                             sample structure randomness. Absent, every
+//!                             case uses the protocol's fixed
+//!                             STRUCTURE_SEED. Against a v2 store the K
+//!                             seeds share one strong blob per universe.
 //!   --fault-drops a,b,…       (`faults` only) per-mille message-drop rates
 //!                             to sweep (default 0,50,100,200,400)
 //!   --fault-crashes K         (`faults` only) crash-stop stations per case
@@ -120,6 +116,13 @@
 //!                             otherwise; implies --trace)
 //! ```
 //!
+//! The spec flags — `--quick`, `--sizes`, `--universe-factors`, `--reps`,
+//! `--seed`, `--structure-seeds` and the `--fault-*` axes — are the fields
+//! of [`SpecParams`], declared once in [`ring_distrib::SPEC_FLAGS`]; every
+//! other flag is runtime-only and never reaches a fingerprint. Spec values
+//! are validated by [`resolve`] alone, for the CLI, workers, daemon
+//! submissions and `resume` alike.
+//!
 //! Results stream to the JSONL destination incrementally in case order and
 //! the markdown tables print at the end. When the JSONL stream goes to
 //! stdout (`--jsonl -`) the tables are routed to **stderr**, so piped
@@ -129,20 +132,15 @@
 //! stderr).
 
 use crate::engine::SweepEngine;
-use crate::scenario::{
-    all_items, faults_items, fig1_items, fig2_items, lower_bounds_items, scaling_items,
-    table1_items, table2_items, CaseRecord, WorkItem,
-};
+use crate::scenario::{resolve, CaseRecord, Resolved, WorkItem};
 use crate::sink::JsonlSink;
 use crate::store::StructureStore;
-use ring_combinat::shared::splitmix64;
 use ring_distrib::{
-    fail_after_from_env, merge_shards, plan_shards, run_pending_shards, DoneEvent, Manifest,
-    OrchestratorOptions, ShardTally, SpecParams, StartEvent,
+    fail_after_from_env, merge_shards, plan_shards, run_pending_shards, spec_flag, DoneEvent,
+    Manifest, OrchestratorOptions, ShardTally, SpecParams, StartEvent, SPEC_FLAGS,
 };
-use ring_experiments::distinguisher_scaling::ScalingSpec;
 use ring_experiments::report::{aggregate, format_markdown_table};
-use ring_experiments::{FaultAxes, Measurement, SweepSpec};
+use ring_experiments::Measurement;
 use ring_protocols::structures::StructureProvider;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -150,12 +148,31 @@ use std::process::Command;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-const USAGE: &str =
+/// The usage text, with the spec-flag synopsis rendered from
+/// [`SPEC_FLAGS`].
+struct Usage;
+
+const USAGE: Usage = Usage;
+
+impl std::fmt::Display for Usage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(USAGE_TEXT)?;
+        f.write_str("\n       spec flags:")?;
+        for flag in SPEC_FLAGS {
+            if flag.is_switch() {
+                write!(f, " [{}]", flag.name)?;
+            } else {
+                write!(f, " [{} {}]", flag.name, flag.operand)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+const USAGE_TEXT: &str =
     "usage: ringlab <table1|table2|fig1|fig2|scaling|lower-bounds|all|sweep|faults> \
-[--quick] [--jobs N] [--sizes a,b,..] [--universe-factors a,b,..] [--reps K] [--seed S] \
-[--structure-seed-mode fixed|per-case] [--structure-seeds K] \
-[--fault-drops a,b,..] [--fault-crashes K] [--fault-churn K] [--fault-adversarial] \
-[--render-fig3 PATH] [--jsonl PATH|-] [--no-jsonl] [--shards M] [--shard i/M] [--run-dir DIR] [--retries R] \
+[spec flags] [--jobs N] [--render-fig3 PATH] [--jsonl PATH|-] [--no-jsonl] \
+[--shards M] [--shard i/M] [--run-dir DIR] [--retries R] \
 [--shard-timeout SECS] [--structure-store [DIR]] [--stats] [--trace] [--trace-dir DIR]
        ringlab worker <subcommand> --shard i/M [spec flags] [--structure-store DIR]
        ringlab worker --connect ADDR
@@ -171,16 +188,16 @@ const USAGE: &str =
 /// runs default into `<run-dir>/structures` instead).
 const DEFAULT_STORE_DIR: &str = "results/structures";
 
-/// Parsed command-line options.
-#[derive(Clone)]
+/// Parsed command-line options: the sweep spec plus the runtime flags.
 struct Options {
-    subcommand: String,
-    quick: bool,
+    /// The `ringlab` subcommand as invoked (`sweep`, `worker`, `resume`, …).
+    command: String,
+    /// The sweep spec the invocation runs. `spec.subcommand` is the
+    /// experiment — the command itself, or the positional of `worker <sub>`
+    /// and `structures prebuild <sub>` — and empty for commands that run
+    /// none (`resume` takes its spec from the manifest).
+    spec: SpecParams,
     jobs: usize,
-    sizes: Option<Vec<usize>>,
-    universe_factors: Option<Vec<u64>>,
-    reps: Option<u64>,
-    seed: Option<u64>,
     jsonl: Option<String>,
     no_jsonl: bool,
     shards: usize,
@@ -190,19 +207,6 @@ struct Options {
     /// `None` = no store; `Some(None)` = store at the context default
     /// directory; `Some(Some(dir))` = store at an explicit directory.
     structure_store: Option<Option<String>>,
-    /// `Some(K)` = per-case structure-seed schedule with K schedule seeds;
-    /// `None` = the fixed default (resolved from `--structure-seed-mode` /
-    /// `--structure-seeds` at parse time).
-    structure_seeds: Option<u64>,
-    /// `--fault-drops` override (`faults` only; `None` = the standard drop
-    /// axes).
-    fault_drops: Option<Vec<u64>>,
-    /// `--fault-crashes` override (`faults` only).
-    fault_crashes: Option<u64>,
-    /// `--fault-churn` override (`faults` only).
-    fault_churn: Option<u64>,
-    /// `--fault-adversarial` (`faults` only).
-    fault_adversarial: bool,
     /// `--shard-timeout` in seconds (`None` = unlimited).
     shard_timeout: Option<u64>,
     /// `serve --listen ADDR`: the daemon's bind address.
@@ -248,28 +252,8 @@ const SUBCOMMANDS: [&str; 15] = [
     "trace",
 ];
 
-/// The experiment subcommand an invocation's sweep spec resolves to: the
-/// positional for `worker <sub>` and `structures prebuild <sub>`, the
-/// subcommand itself otherwise. The fault axes key off this, so a worker
-/// (or prebuild) of a faulty sweep resolves the same spec — and the same
-/// fingerprint — as its orchestrator.
-fn effective_subcommand(options: &Options) -> &str {
-    match options.subcommand.as_str() {
-        "worker" => options
-            .positionals
-            .first()
-            .map(String::as_str)
-            .unwrap_or(""),
-        "structures" if options.positionals.first().map(String::as_str) == Some("prebuild") => {
-            options.positionals.get(1).map(String::as_str).unwrap_or("")
-        }
-        other => other,
-    }
-}
-
 /// Runs the CLI on explicit arguments (without the program name), returning
-/// the process exit code. The wrapper binaries call this with their
-/// subcommand prepended.
+/// the process exit code.
 pub fn run(args: &[String]) -> i32 {
     let options = match parse(args) {
         Ok(options) => options,
@@ -280,18 +264,15 @@ pub fn run(args: &[String]) -> i32 {
     };
     // Unknown subcommands are usage errors (exit 2, like bad flags), not
     // runtime failures.
-    if !SUBCOMMANDS.contains(&options.subcommand.as_str()) {
-        eprintln!(
-            "ringlab: unknown subcommand `{}`\n{USAGE}",
-            options.subcommand
-        );
+    if !SUBCOMMANDS.contains(&options.command.as_str()) {
+        eprintln!("ringlab: unknown subcommand `{}`\n{USAGE}", options.command);
         return 2;
     }
     if let Err(message) = init_trace(&options) {
         eprintln!("ringlab: {message}");
         return 1;
     }
-    let result = match options.subcommand.as_str() {
+    let result = match options.command.as_str() {
         "worker" => cmd_worker(&options),
         "serve" => cmd_serve(&options),
         "merge" => cmd_merge(&options),
@@ -323,16 +304,17 @@ fn init_trace(options: &Options) -> Result<(), String> {
         return Ok(());
     }
     let dir = options.trace_dir.clone().unwrap_or_else(|| {
-        if options.subcommand == "resume" {
+        if options.command == "resume" {
             options
                 .run_dir
                 .clone()
                 .or_else(|| options.positionals.first().cloned())
                 .unwrap_or_else(|| "results/trace".to_string())
         } else if options.shards > 0 {
-            options.run_dir.clone().unwrap_or_else(|| {
-                format!("results/distrib/{}", options.subcommand.replace('-', "_"))
-            })
+            options
+                .run_dir
+                .clone()
+                .unwrap_or_else(|| format!("results/distrib/{}", options.command.replace('-', "_")))
         } else {
             "results/trace".to_string()
         }
@@ -342,44 +324,6 @@ fn init_trace(options: &Options) -> Result<(), String> {
         .map_err(|e| format!("cannot start the trace sidecar in {dir}: {e}"))?;
     eprintln!("ringlab: tracing spans to {}", path.display());
     Ok(())
-}
-
-/// The item list of an experiment subcommand.
-fn items_for(
-    subcommand: &str,
-    spec: &SweepSpec,
-    scaling: &ScalingSpec,
-) -> Result<Vec<WorkItem>, String> {
-    Ok(match subcommand {
-        "table1" => table1_items(spec),
-        "table2" => table2_items(spec),
-        "fig1" => fig1_items(spec),
-        "fig2" => fig2_items(spec),
-        "scaling" => scaling_items(scaling),
-        "lower-bounds" => lower_bounds_items(spec),
-        "all" => all_items(spec, scaling),
-        // The generic sweep: the full Table I + Table II pipeline over the
-        // (possibly overridden) case grid.
-        "sweep" => {
-            let mut items = table1_items(spec);
-            items.extend(table2_items(spec));
-            items
-        }
-        "faults" => faults_items(spec),
-        other => return Err(format!("unknown subcommand `{other}`\n{USAGE}")),
-    })
-}
-
-/// Fingerprint of the case enumeration a subcommand resolves to, pinning
-/// run manifests to the spec (and binary) that produced them.
-fn spec_fingerprint(subcommand: &str, spec: &SweepSpec, scaling: &ScalingSpec) -> String {
-    let mut h = splitmix64(0x41_6e_67_65_6c_69_6b_61);
-    for b in subcommand.bytes() {
-        h = splitmix64(h ^ u64::from(b));
-    }
-    h = splitmix64(h ^ spec.fingerprint());
-    h = splitmix64(h ^ scaling.fingerprint());
-    format!("0x{h:016x}")
 }
 
 /// The structure-store directory the invocation asked for (`None` = no
@@ -392,7 +336,7 @@ fn resolve_store_dir(options: &Options, default: impl FnOnce() -> String) -> Opt
         .map(|explicit| explicit.clone().unwrap_or_else(default))
 }
 
-/// The flags every engine-running subcommand shares — `--jobs`, `--quick`,
+/// The runtime flags every engine-running subcommand shares — `--jobs`,
 /// `--stats`, `--structure-store` and the JSONL destination — resolved
 /// against the invocation context in one place, so the per-subcommand
 /// handlers stop repeating the store/destination/engine plumbing.
@@ -417,11 +361,7 @@ impl Options {
             jobs: self.jobs,
             stats: self.stats,
             store_dir: resolve_store_dir(self, store_default),
-            destination: if self.no_jsonl {
-                None
-            } else {
-                self.jsonl.clone().or_else(jsonl_default)
-            },
+            destination: jsonl_destination(self, jsonl_default),
         }
     }
 }
@@ -447,29 +387,23 @@ fn cmd_experiment(options: &Options) -> Result<i32, String> {
     if !options.positionals.is_empty() {
         return Err(format!("unexpected argument `{}`", options.positionals[0]));
     }
-    let spec = sweep_spec(options);
-    let scaling = scaling_spec(options);
-    let items = items_for(&options.subcommand, &spec, &scaling)?;
+    let resolved = resolve(&options.spec)?;
     if options.shards > 0 {
-        return cmd_sharded(options, &spec, &scaling, &items);
+        return cmd_sharded(options, &resolved);
     }
     if let Some((shard, of)) = options.shard {
-        return cmd_shard_slice(options, &spec, &scaling, &items, shard, of);
+        return cmd_shard_slice(options, &resolved, shard, of);
     }
+    let items = &resolved.items;
 
     let common = options.common(
         || DEFAULT_STORE_DIR.to_string(),
-        || {
-            Some(format!(
-                "results/{}.jsonl",
-                options.subcommand.replace('-', "_")
-            ))
-        },
+        || Some(default_jsonl(&options.command)),
     );
     let engine = common.engine()?;
     let start = Instant::now();
     let destination = common.destination.clone();
-    let records = run_items_with_offset(&engine, &items, 0, destination.as_deref())?;
+    let records = run_items_with_offset(&engine, items, 0, destination.as_deref())?;
     let elapsed = start.elapsed();
 
     let measurements: Vec<Measurement> = records
@@ -526,13 +460,14 @@ fn print_tables(markdown: &str, destination: Option<&str>) {
     }
 }
 
-/// One engine's run as a registry snapshot (ring-obs/v1): the global
-/// registry's counters and histograms with the engine's own cache / store
-/// / executor counters overlaid under their canonical names. Every stats
-/// consumer — `--stats`, the worker done event, the daemon — reports from
-/// this one schema.
-fn engine_snapshot(engine: &SweepEngine) -> ring_obs::Snapshot {
-    let mut snapshot = ring_obs::global().snapshot();
+/// Overlays the engine's own cache / store / executor counters onto a
+/// registry snapshot (ring-obs/v1) under their canonical names. Every stats
+/// consumer — `--stats` over the global snapshot, the worker done event
+/// over its job's delta, the daemon — reports from this one schema.
+fn with_engine_counters(
+    mut snapshot: ring_obs::Snapshot,
+    engine: &SweepEngine,
+) -> ring_obs::Snapshot {
     let cache = engine.cache_stats();
     let store = engine.store_stats();
     let exec = engine.exec_stats();
@@ -546,7 +481,7 @@ fn engine_snapshot(engine: &SweepEngine) -> ring_obs::Snapshot {
 }
 
 /// The engine's cache + store + executor statistics as one stderr JSON
-/// line, sourced from the [`engine_snapshot`] schema.
+/// line, sourced from the [`with_engine_counters`] schema.
 fn print_engine_stats(engine: &SweepEngine) {
     #[derive(serde::Serialize)]
     struct Stats {
@@ -564,7 +499,7 @@ fn print_engine_stats(engine: &SweepEngine) {
         hit_rate: f64,
         structures: usize,
     }
-    let snapshot = engine_snapshot(engine);
+    let snapshot = with_engine_counters(ring_obs::global().snapshot(), engine);
     let hits = snapshot.counter("cache_hits");
     let misses = snapshot.counter("cache_misses");
     let total = hits + misses;
@@ -663,17 +598,22 @@ fn print_fleet_stats(manifest: &Manifest) {
     );
 }
 
-/// The resolved JSONL destination (`None` = disabled).
-fn jsonl_destination(options: &Options) -> Option<String> {
+/// The JSONL destination (`None` = disabled): `--no-jsonl` wins, then
+/// `--jsonl`, then the context's `default`.
+fn jsonl_destination(
+    options: &Options,
+    default: impl FnOnce() -> Option<String>,
+) -> Option<String> {
     if options.no_jsonl {
-        return None;
+        None
+    } else {
+        options.jsonl.clone().or_else(default)
     }
-    Some(
-        options
-            .jsonl
-            .clone()
-            .unwrap_or_else(|| format!("results/{}.jsonl", options.subcommand.replace('-', "_"))),
-    )
+}
+
+/// The default JSONL destination of an experiment subcommand.
+fn default_jsonl(subcommand: &str) -> String {
+    format!("results/{}.jsonl", subcommand.replace('-', "_"))
 }
 
 /// Opens a JSONL destination for writing (`-` = stdout).
@@ -702,14 +642,12 @@ fn open_destination(destination: &str) -> Result<Box<dyn Write + Send>, String> 
 /// single-process stream.
 fn cmd_shard_slice(
     options: &Options,
-    spec: &SweepSpec,
-    scaling: &ScalingSpec,
-    items: &[WorkItem],
+    resolved: &Resolved,
     shard: usize,
     of: usize,
 ) -> Result<i32, String> {
-    let ranges = plan_shards(items.len(), of);
-    let range = ranges[shard];
+    let items = &resolved.items;
+    let range = plan_shards(items.len(), of)[shard];
     // Fleet mode: a shared store directory is how hand-partitioned workers
     // on one filesystem avoid rebuilding each other's structures.
     let common = options.common(
@@ -717,13 +655,13 @@ fn cmd_shard_slice(
         || {
             Some(format!(
                 "results/{}.shard-{shard}-of-{of}.jsonl",
-                options.subcommand.replace('-', "_")
+                options.command.replace('-', "_")
             ))
         },
     );
     let engine = common.engine()?;
     let start = Instant::now();
-    let records = run_items_with_offset(
+    run_items_with_offset(
         &engine,
         &items[range.start..range.end],
         range.start,
@@ -736,12 +674,11 @@ fn cmd_shard_slice(
         range.start,
         range.end,
         start.elapsed().as_secs_f64(),
-        spec_fingerprint(&options.subcommand, spec, scaling),
+        resolved.fingerprint,
     );
     if common.stats {
         print_engine_stats(&engine);
     }
-    let _ = records;
     Ok(0)
 }
 
@@ -790,17 +727,16 @@ fn run_worker_shard<E: Write, R: Write + Send>(
     mut event_out: E,
     record_out: R,
 ) -> Result<(), String> {
-    let Some(subcommand) = options.positionals.first() else {
+    if options.spec.subcommand.is_empty() {
         return Err(format!("worker needs a subcommand\n{USAGE}"));
-    };
+    }
     let Some((shard, of)) = options.shard else {
         return Err("worker requires --shard i/M".into());
     };
-    let spec = sweep_spec(options);
-    let scaling = scaling_spec(options);
-    let items = items_for(subcommand, &spec, &scaling)?;
+    let Resolved {
+        items, fingerprint, ..
+    } = resolve(&options.spec)?;
     let range = plan_shards(items.len(), of)[shard];
-    let fingerprint = spec_fingerprint(subcommand, &spec, &scaling);
 
     let start = StartEvent::new(shard, of, range.start, range.end, &fingerprint);
     writeln!(
@@ -825,27 +761,21 @@ fn run_worker_shard<E: Write, R: Write + Send>(
     engine.run_with_offset(&items[range.start..range.end], range.start, Some(&sink));
     let tally = sink.finish();
 
-    let cache = engine.cache_stats();
-    let store = engine.store_stats();
-    let exec = engine.exec_stats();
-    let mut metrics = ring_obs::global().snapshot().delta(&baseline);
     // The engine's own counters are per-engine (fresh every job), so they
-    // overlay the delta exactly under their canonical registry names.
-    metrics.set_counter("cache_hits", cache.hits);
-    metrics.set_counter("cache_misses", cache.misses);
-    metrics.set_counter("store_hits", store.hits);
-    metrics.set_counter("store_misses", store.misses);
-    metrics.set_counter("executor_executed", exec.executed);
-    metrics.set_counter("executor_steals", exec.steals);
+    // overlay the delta exactly.
+    let metrics = with_engine_counters(ring_obs::global().snapshot().delta(&baseline), &engine);
     let done = DoneEvent::new(
         shard,
         tally.lines() as usize,
         tally.checksum(),
-        cache.hits,
-        cache.misses,
-        exec.steals,
+        metrics.counter("cache_hits"),
+        metrics.counter("cache_misses"),
+        metrics.counter("executor_steals"),
     )
-    .with_store(store.hits, store.misses)
+    .with_store(
+        metrics.counter("store_hits"),
+        metrics.counter("store_misses"),
+    )
     .with_metrics(metrics);
     writeln!(
         event_out,
@@ -966,7 +896,7 @@ fn connect_with_retry(addr: &str) -> Result<std::net::TcpStream, String> {
 /// cannot take the whole worker down silently.
 fn run_tcp_job(argv: &[String], stream: &std::net::TcpStream) -> Result<(), String> {
     let parsed = parse(argv).map_err(|e| format!("bad job argv: {e}"))?;
-    if parsed.subcommand != "worker" || parsed.connect.is_some() {
+    if parsed.command != "worker" || parsed.connect.is_some() {
         return Err("job frames must carry a plain `worker` argv".into());
     }
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -994,18 +924,14 @@ fn cmd_serve(options: &Options) -> Result<i32, String> {
             .clone()
             .unwrap_or_else(|| "results/serve".to_string()),
     );
-    // The resolver replays a submitted spec through the exact same
-    // enumeration pipeline the CLI uses, so a daemon run records the same
+    // A submitted spec goes through the CLI's own resolver: it is refused
+    // exactly when `ringlab` would refuse it, and otherwise records the
     // fingerprint (and case count) a `ringlab sweep` of the spec would.
-    let runtime = options.clone();
-    let resolver: ring_serve::SpecResolver = Box::new(move |spec: &SpecParams| {
-        let resolved = options_from_spec(spec, &runtime);
-        let sweep = sweep_spec(&resolved);
-        let scaling = scaling_spec(&resolved);
-        let items = items_for(&spec.subcommand, &sweep, &scaling)?;
+    let resolver: ring_serve::SpecResolver = Box::new(|spec: &SpecParams| {
+        let resolved = resolve(spec)?;
         Ok(ring_serve::ResolvedSpec {
-            total_cases: items.len(),
-            fingerprint: spec_fingerprint(&spec.subcommand, &sweep, &scaling),
+            total_cases: resolved.items.len(),
+            fingerprint: resolved.fingerprint,
         })
     });
     ring_serve::serve(ring_serve::ServeConfig {
@@ -1022,40 +948,25 @@ fn cmd_serve(options: &Options) -> Result<i32, String> {
 
 /// `--shards M`: plans, orchestrates M worker processes, merges, and
 /// renders — one command, output byte-identical to the single-process run.
-fn cmd_sharded(
-    options: &Options,
-    spec: &SweepSpec,
-    scaling: &ScalingSpec,
-    items: &[WorkItem],
-) -> Result<i32, String> {
-    let run_dir =
-        PathBuf::from(options.run_dir.clone().unwrap_or_else(|| {
-            format!("results/distrib/{}", options.subcommand.replace('-', "_"))
-        }));
-    let ranges = plan_shards(items.len(), options.shards);
-    let fingerprint = spec_fingerprint(&options.subcommand, spec, scaling);
-    let destination = jsonl_destination(options);
+fn cmd_sharded(options: &Options, resolved: &Resolved) -> Result<i32, String> {
+    let run_dir = PathBuf::from(
+        options
+            .run_dir
+            .clone()
+            .unwrap_or_else(|| format!("results/distrib/{}", options.command.replace('-', "_"))),
+    );
+    let total_cases = resolved.items.len();
+    let ranges = plan_shards(total_cases, options.shards);
+    let destination = jsonl_destination(options, || Some(default_jsonl(&options.command)));
     // The fleet's shared structure store defaults into the run directory,
     // next to the shard files it accelerates.
     let store_dir = resolve_store_dir(options, || {
         run_dir.join("structures").to_string_lossy().into_owned()
     });
     let manifest = Manifest::new(
-        SpecParams {
-            subcommand: options.subcommand.clone(),
-            quick: options.quick,
-            sizes: options.sizes.clone(),
-            universe_factors: options.universe_factors.clone(),
-            reps: options.reps,
-            seed: options.seed,
-            structure_seeds: options.structure_seeds,
-            fault_drops: options.fault_drops.clone(),
-            fault_crashes: options.fault_crashes,
-            fault_churn: options.fault_churn,
-            fault_adversarial: options.fault_adversarial,
-        },
-        fingerprint,
-        items.len(),
+        options.spec.clone(),
+        resolved.fingerprint.clone(),
+        total_cases,
         &ranges,
         1,
         // Empty = no JSONL output (`--no-jsonl`): a resume of this run
@@ -1082,11 +993,9 @@ fn cmd_resume(options: &Options) -> Result<i32, String> {
     let mut manifest = Manifest::load(&run_dir)?;
 
     // The manifest must describe a case enumeration this binary reproduces.
-    let resumed = options_from_spec(&manifest.spec, options);
-    let spec = sweep_spec(&resumed);
-    let scaling = scaling_spec(&resumed);
-    let items = items_for(&manifest.spec.subcommand, &spec, &scaling)?;
-    let fingerprint = spec_fingerprint(&manifest.spec.subcommand, &spec, &scaling);
+    let Resolved {
+        items, fingerprint, ..
+    } = resolve(&manifest.spec).map_err(|e| format!("manifest spec: {e}"))?;
     if fingerprint != manifest.spec_fingerprint || items.len() != manifest.total_cases {
         return Err(format!(
             "manifest fingerprint {} does not match this binary's enumeration {} \
@@ -1134,19 +1043,14 @@ fn cmd_resume(options: &Options) -> Result<i32, String> {
         run_dir.display(),
         manifest.shards.len()
     );
-    let destination = if options.jsonl.is_some() || options.no_jsonl {
-        jsonl_destination(&Options {
-            subcommand: manifest.spec.subcommand.clone(),
-            ..options.clone()
-        })
-    } else if manifest.output.is_empty() {
-        // The run was started with --no-jsonl; keep suppressing the stream.
-        None
-    } else {
-        Some(manifest.output.clone())
-    };
+    // Without an explicit destination the run keeps its recorded one; an
+    // empty record means it was started with --no-jsonl, so the stream
+    // stays suppressed.
+    let destination = jsonl_destination(options, || {
+        Some(manifest.output.clone()).filter(|output| !output.is_empty())
+    });
     let manifest = Mutex::new(manifest);
-    orchestrate_and_finish(&resumed, &run_dir, &manifest, destination)
+    orchestrate_and_finish(options, &run_dir, &manifest, destination)
 }
 
 /// Shared tail of `--shards` and `resume`: run the incomplete shards,
@@ -1270,15 +1174,14 @@ fn cmd_structures(options: &Options) -> Result<i32, String> {
     let dir_path = PathBuf::from(&dir);
     match action.as_str() {
         "prebuild" => {
-            let Some(subcommand) = options.positionals.get(1) else {
+            let subcommand = &options.spec.subcommand;
+            if subcommand.is_empty() {
                 return Err(format!("structures prebuild needs a subcommand\n{USAGE}"));
-            };
+            }
             if options.positionals.len() > 2 {
                 return Err(format!("unexpected argument `{}`", options.positionals[2]));
             }
-            let spec = sweep_spec(options);
-            let scaling = scaling_spec(options);
-            let items = items_for(subcommand, &spec, &scaling)?;
+            let items = resolve(&options.spec)?.items;
             // One entry per distinct key, materialisation hint maximised
             // over every item that will request it.
             let mut keys: Vec<(ring_combinat::StructureKey, usize)> = Vec::new();
@@ -1522,31 +1425,6 @@ fn format_ns(ns: u64) -> String {
         format!("{:.2}µs", ns as f64 / 1e3)
     } else {
         format!("{ns}ns")
-    }
-}
-
-/// Rebuilds the spec-affecting options recorded in a manifest, keeping the
-/// caller's runtime flags (jobs, retries, stats).
-fn options_from_spec(spec: &SpecParams, runtime: &Options) -> Options {
-    Options {
-        subcommand: spec.subcommand.clone(),
-        quick: spec.quick,
-        sizes: spec.sizes.clone(),
-        universe_factors: spec.universe_factors.clone(),
-        reps: spec.reps,
-        seed: spec.seed,
-        structure_seeds: spec.structure_seeds,
-        fault_drops: spec.fault_drops.clone(),
-        fault_crashes: spec.fault_crashes,
-        fault_churn: spec.fault_churn,
-        fault_adversarial: spec.fault_adversarial,
-        jsonl: None,
-        no_jsonl: false,
-        shards: 0,
-        shard: None,
-        run_dir: None,
-        positionals: Vec::new(),
-        ..runtime.clone()
     }
 }
 
@@ -1860,70 +1738,18 @@ fn write_fig3(path: &str, measurements: &[Measurement]) -> Result<(), String> {
     Ok(())
 }
 
-fn sweep_spec(options: &Options) -> SweepSpec {
-    let mut spec = if options.quick {
-        SweepSpec::quick()
-    } else {
-        SweepSpec::standard()
-    };
-    if let Some(sizes) = &options.sizes {
-        spec.sizes = sizes.clone();
-    }
-    if let Some(factors) = &options.universe_factors {
-        spec.universe_factors = factors.clone();
-    }
-    if let Some(reps) = options.reps {
-        spec.repetitions = reps;
-    }
-    if let Some(seed) = options.seed {
-        spec.seed = seed;
-    }
-    spec.structure_seeds = options.structure_seeds;
-    // Only a faulty sweep carries fault axes: clean subcommands must keep
-    // their pre-fault-layer fingerprints, and the parser already rejects
-    // fault flags anywhere else.
-    if effective_subcommand(options) == "faults" {
-        let standard = FaultAxes::standard();
-        spec.faults = Some(FaultAxes {
-            drops: options.fault_drops.clone().unwrap_or(standard.drops),
-            crashes: options.fault_crashes.unwrap_or(standard.crashes),
-            churn: options.fault_churn.unwrap_or(standard.churn),
-            adversarial: options.fault_adversarial || standard.adversarial,
-        });
-    }
-    spec
-}
-
-fn scaling_spec(options: &Options) -> ScalingSpec {
-    let mut scaling = if options.quick {
-        // Reduced sizes for smoke runs, exercising both family kinds and
-        // the protocol-driven measurement.
-        ScalingSpec {
-            universe: 1 << 10,
-            sizes: vec![8, 16],
-            seed: 41,
-        }
-    } else {
-        ScalingSpec::standard()
-    };
-    if let Some(sizes) = &options.sizes {
-        scaling.sizes = sizes.clone();
-    }
-    if let Some(seed) = options.seed {
-        scaling.seed = seed;
-    }
-    scaling
-}
-
+/// Parses argv into options: the argv syntax, spec flags through
+/// [`SPEC_FLAGS`], and the runtime-flag rules. Spec *values* are left to
+/// [`resolve`].
 fn parse(args: &[String]) -> Result<Options, String> {
+    let mut iter = args.iter();
+    let Some(command) = iter.next() else {
+        return Err("missing subcommand".into());
+    };
     let mut options = Options {
-        subcommand: String::new(),
-        quick: false,
+        command: command.clone(),
+        spec: SpecParams::default(),
         jobs: 0,
-        sizes: None,
-        universe_factors: None,
-        reps: None,
-        seed: None,
         jsonl: None,
         no_jsonl: false,
         shards: 0,
@@ -1931,11 +1757,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         run_dir: None,
         retries: 1,
         structure_store: None,
-        structure_seeds: None,
-        fault_drops: None,
-        fault_crashes: None,
-        fault_churn: None,
-        fault_adversarial: false,
         shard_timeout: None,
         listen: None,
         connect: None,
@@ -1947,13 +1768,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         trace_dir: None,
         positionals: Vec::new(),
     };
-    let mut seed_mode: Option<String> = None;
-    let mut seed_count: Option<u64> = None;
-    let mut iter = args.iter();
-    let Some(subcommand) = iter.next() else {
-        return Err("missing subcommand".into());
-    };
-    options.subcommand = subcommand.clone();
     while let Some(arg) = iter.next() {
         let mut value_of = |flag: &str| {
             iter.next()
@@ -1961,7 +1775,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 .ok_or_else(|| format!("{flag} expects a value"))
         };
         match arg.as_str() {
-            "--quick" => options.quick = true,
             "--no-jsonl" => options.no_jsonl = true,
             "--stats" => options.stats = true,
             "--trace" => options.trace = true,
@@ -2009,62 +1822,11 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|_| "--retries expects a non-negative integer".to_string())?;
             }
-            "--structure-seed-mode" => {
-                seed_mode = Some(value_of("--structure-seed-mode")?);
-            }
-            "--structure-seeds" => {
-                seed_count = Some(
-                    value_of("--structure-seeds")?
-                        .parse()
-                        .map_err(|_| "--structure-seeds expects a positive integer".to_string())?,
-                );
-            }
-            "--fault-drops" => {
-                options.fault_drops =
-                    Some(parse_list(&value_of("--fault-drops")?, "--fault-drops")?);
-            }
-            "--fault-crashes" => {
-                options.fault_crashes =
-                    Some(value_of("--fault-crashes")?.parse().map_err(|_| {
-                        "--fault-crashes expects a non-negative integer".to_string()
-                    })?);
-            }
-            "--fault-churn" => {
-                options.fault_churn = Some(
-                    value_of("--fault-churn")?
-                        .parse()
-                        .map_err(|_| "--fault-churn expects a non-negative integer".to_string())?,
-                );
-            }
-            "--fault-adversarial" => options.fault_adversarial = true,
             "--shard-timeout" => {
                 options.shard_timeout = Some(
                     value_of("--shard-timeout")?
                         .parse()
                         .map_err(|_| "--shard-timeout expects seconds".to_string())?,
-                );
-            }
-            "--sizes" => {
-                options.sizes = Some(parse_list(&value_of("--sizes")?, "--sizes")?);
-            }
-            "--universe-factors" => {
-                options.universe_factors = Some(parse_list(
-                    &value_of("--universe-factors")?,
-                    "--universe-factors",
-                )?);
-            }
-            "--reps" => {
-                options.reps = Some(
-                    value_of("--reps")?
-                        .parse()
-                        .map_err(|_| "--reps expects a positive integer".to_string())?,
-                );
-            }
-            "--seed" => {
-                options.seed = Some(
-                    value_of("--seed")?
-                        .parse()
-                        .map_err(|_| "--seed expects an integer".to_string())?,
                 );
             }
             "--jsonl" => options.jsonl = Some(value_of("--jsonl")?),
@@ -2079,55 +1841,30 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 );
             }
             "--render-fig3" => options.render_fig3 = Some(value_of("--render-fig3")?),
-            other if other.starts_with("--") => return Err(format!("unknown flag `{other}`")),
-            other => options.positionals.push(other.to_string()),
+            other => match spec_flag(other) {
+                Some(flag) if flag.is_switch() => flag.apply(&mut options.spec, "")?,
+                Some(flag) => flag.apply(&mut options.spec, &value_of(flag.name)?)?,
+                None if other.starts_with("--") => return Err(format!("unknown flag `{other}`")),
+                None => options.positionals.push(other.to_string()),
+            },
         }
     }
-    if options.sizes.as_ref().is_some_and(|sizes| sizes.is_empty()) {
-        return Err("--sizes expects at least one size".into());
-    }
-    if options
-        .universe_factors
-        .as_ref()
-        .is_some_and(|factors| factors.is_empty())
-    {
-        return Err("--universe-factors expects at least one factor".into());
-    }
-    if options.reps == Some(0) {
-        return Err("--reps expects a positive integer".into());
-    }
-    // Resolve the structure-seed schedule: an explicit mode wins; a bare
-    // `--structure-seeds K` implies per-case.
-    options.structure_seeds = match (seed_mode.as_deref(), seed_count) {
-        (Some("fixed"), None) | (None, None) => None,
-        (Some("fixed"), Some(_)) => {
-            return Err("--structure-seeds contradicts --structure-seed-mode fixed".into())
+    // The experiment the invocation runs, whose spec the flags describe.
+    let experiment = match options.command.as_str() {
+        "worker" => options.positionals.first().cloned().unwrap_or_default(),
+        "structures" if options.positionals.first().is_some_and(|a| a == "prebuild") => {
+            options.positionals.get(1).cloned().unwrap_or_default()
         }
-        (Some("per-case"), count) => Some(count.unwrap_or(4)),
-        (None, Some(count)) => Some(count),
-        (Some(other), _) => {
-            return Err(format!(
-                "--structure-seed-mode expects fixed or per-case, not `{other}`"
-            ))
-        }
+        "structures" | "merge" | "resume" | "serve" | "trace" => String::new(),
+        other => other.to_string(),
     };
-    if options.structure_seeds == Some(0) {
-        return Err("--structure-seeds expects a positive integer".into());
-    }
-    // Beyond the window count, schedule slots would wrap onto already-used
-    // strong windows and silently repeat bit-identical strong sequences —
-    // refuse rather than mislabel collapsed diversity as K distinct seeds.
-    if options
-        .structure_seeds
-        .is_some_and(|k| k > ring_combinat::STRONG_WINDOW)
-    {
+    if experiment.is_empty() && options.spec != SpecParams::default() {
         return Err(format!(
-            "--structure-seeds supports at most {} distinct seeds (strong sequences \
-are windows into one universal sequence with {} window offsets)",
-            ring_combinat::STRONG_WINDOW,
-            ring_combinat::STRONG_WINDOW,
+            "spec flags describe an experiment, and this `{}` invocation runs none",
+            options.command
         ));
     }
+    options.spec.subcommand = experiment;
     if let Some((shard, of)) = options.shard {
         if of == 0 || shard >= of {
             return Err(format!("--shard {shard}/{of} is out of range (need i < M)"));
@@ -2136,55 +1873,16 @@ are windows into one universal sequence with {} window offsets)",
             return Err("--shards and --shard disagree on the shard count".into());
         }
     }
-    if options.subcommand == "scaling" && options.universe_factors.is_some() {
-        return Err(
-            "--universe-factors does not apply to `scaling` (its universe is absolute; \
-use --quick for the reduced variant)"
-                .into(),
-        );
-    }
-    if options.subcommand == "scaling" && options.reps.is_some() {
-        return Err("--reps does not apply to `scaling` (one measurement per set size)".into());
-    }
-    if options.subcommand == "scaling" && options.structure_seeds.is_some() {
-        return Err(
-            "the structure-seed schedule does not apply to `scaling` (its structures are \
-keyed by the scaling seed; use --seed)"
-                .into(),
-        );
-    }
-    let fault_flags_given = options.fault_drops.is_some()
-        || options.fault_crashes.is_some()
-        || options.fault_churn.is_some()
-        || options.fault_adversarial;
-    if fault_flags_given && effective_subcommand(&options) != "faults" {
-        return Err("fault flags apply only to the `faults` subcommand".into());
-    }
-    if options
-        .fault_drops
-        .as_ref()
-        .is_some_and(|drops| drops.is_empty())
-    {
-        return Err("--fault-drops expects at least one rate".into());
-    }
-    if options
-        .fault_drops
-        .as_ref()
-        .is_some_and(|drops| drops.iter().any(|&d| d > 1000))
-    {
-        return Err("--fault-drops rates are per mille (at most 1000)".into());
-    }
     if options.shard_timeout == Some(0) {
         return Err("--shard-timeout expects a positive number of seconds".into());
     }
-    if options.listen.is_some() && options.subcommand != "serve" {
+    if options.listen.is_some() && options.command != "serve" {
         return Err("--listen applies only to the `serve` subcommand".into());
     }
-    if options.connect.is_some() && options.subcommand != "worker" {
+    if options.connect.is_some() && options.command != "worker" {
         return Err("--connect applies only to the `worker` subcommand".into());
     }
-    if (options.data_dir.is_some() || options.lease_timeout.is_some())
-        && options.subcommand != "serve"
+    if (options.data_dir.is_some() || options.lease_timeout.is_some()) && options.command != "serve"
     {
         return Err("--data-dir and --lease-timeout apply only to the `serve` subcommand".into());
     }
@@ -2192,7 +1890,7 @@ keyed by the scaling seed; use --seed)"
         return Err("--lease-timeout expects a positive number of seconds".into());
     }
     if options.render_fig3.is_some()
-        && (options.subcommand != "faults" || options.shards != 0 || options.shard.is_some())
+        && (options.command != "faults" || options.shards != 0 || options.shard.is_some())
     {
         return Err(
             "--render-fig3 applies only to a single-process `faults` run \
@@ -2201,17 +1899,6 @@ keyed by the scaling seed; use --seed)"
         );
     }
     Ok(options)
-}
-
-fn parse_list<T: std::str::FromStr>(text: &str, flag: &str) -> Result<Vec<T>, String> {
-    text.split(',')
-        .filter(|part| !part.is_empty())
-        .map(|part| {
-            part.trim()
-                .parse()
-                .map_err(|_| format!("{flag}: `{part}` is not a number"))
-        })
-        .collect()
 }
 
 /// The `ringlab` entry point: runs the CLI on the process arguments and
@@ -2224,10 +1911,18 @@ pub fn main() -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
     use ring_distrib::ShardRange;
+    use ring_experiments::FaultAxes;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Parses and resolves, as `ringlab` does before running anything.
+    fn resolve_args(list: &[&str]) -> Result<Resolved, String> {
+        resolve(&parse(&args(list))?.spec)
     }
 
     #[test]
@@ -2248,13 +1943,15 @@ mod tests {
             "--no-jsonl",
         ]))
         .unwrap();
-        assert_eq!(options.subcommand, "sweep");
-        assert!(options.quick && options.no_jsonl);
+        assert_eq!(options.command, "sweep");
+        assert_eq!(options.spec.subcommand, "sweep");
+        assert!(options.spec.quick && options.no_jsonl);
         assert_eq!(options.jobs, 4);
-        assert_eq!(sweep_spec(&options).sizes, vec![15, 16]);
-        assert_eq!(sweep_spec(&options).universe_factors, vec![4, 64]);
-        assert_eq!(sweep_spec(&options).repetitions, 2);
-        assert_eq!(sweep_spec(&options).seed, 9);
+        let sweep = resolve(&options.spec).unwrap().sweep;
+        assert_eq!(sweep.sizes, vec![15, 16]);
+        assert_eq!(sweep.universe_factors, vec![4, 64]);
+        assert_eq!(sweep.repetitions, 2);
+        assert_eq!(sweep.seed, 9);
     }
 
     #[test]
@@ -2276,8 +1973,8 @@ mod tests {
         assert!(options.stats);
 
         let options = parse(&args(&["worker", "sweep", "--shard", "1/3"])).unwrap();
-        assert_eq!(options.subcommand, "worker");
-        assert_eq!(options.positionals, vec!["sweep".to_string()]);
+        assert_eq!(options.command, "worker");
+        assert_eq!(options.spec.subcommand, "sweep");
         assert_eq!(options.shard, Some((1, 3)));
 
         assert!(parse(&args(&["sweep", "--shard", "3/3"])).is_err());
@@ -2291,52 +1988,96 @@ mod tests {
         assert!(parse(&args(&[])).is_err());
         assert!(parse(&args(&["table1", "--jobs"])).is_err());
         assert!(parse(&args(&["table1", "--sizes", "a,b"])).is_err());
+        assert!(parse(&args(&["table1", "--reps"])).is_err());
         assert!(parse(&args(&["table1", "--wat"])).is_err());
+        // Spec flags only describe an experiment: a command that runs none
+        // refuses them instead of ignoring them.
+        assert!(parse(&args(&["resume", "results/distrib/sweep", "--quick"])).is_err());
+        assert!(parse(&args(&["worker", "--connect", "x:1", "--sizes", "9"])).is_err());
+        assert!(parse(&args(&["structures", "gc", "--seed", "3"])).is_err());
+        assert!(parse(&args(&["structures", "prebuild", "sweep", "--seed", "3"])).is_ok());
     }
 
-    #[test]
-    fn worker_args_round_trip_through_the_parser() {
-        let spec = SpecParams {
-            subcommand: "sweep".into(),
-            quick: true,
-            sizes: Some(vec![9, 8]),
-            universe_factors: Some(vec![4]),
-            reps: Some(2),
-            seed: Some(77),
-            structure_seeds: Some(3),
-            fault_drops: None,
-            fault_crashes: None,
-            fault_churn: None,
-            fault_adversarial: false,
-        };
-        let range = ShardRange {
-            shard: 1,
-            start: 4,
-            end: 8,
-        };
-        let argv = spec.worker_args(1, &range, 3, "run/structures");
-        let parsed = parse(&argv).unwrap();
-        assert_eq!(parsed.subcommand, "worker");
-        assert_eq!(parsed.positionals, vec!["sweep".to_string()]);
-        assert_eq!(parsed.shard, Some((1, 3)));
-        assert_eq!(parsed.jobs, 1);
-        assert_eq!(
-            parsed.structure_store,
-            Some(Some("run/structures".to_string()))
-        );
-        assert_eq!(parsed.structure_seeds, Some(3));
-        let rebuilt = sweep_spec(&parsed);
-        assert_eq!(rebuilt.sizes, vec![9, 8]);
-        assert_eq!(rebuilt.universe_factors, vec![4]);
-        assert_eq!(rebuilt.repetitions, 2);
-        assert_eq!(rebuilt.seed, 77);
-        assert_eq!(rebuilt.structure_seeds, Some(3));
+    /// Arbitrary specs `resolve` accepts, drawing every field: the
+    /// subcommand-specific axes only where the subcommand takes them.
+    struct ValidSpecs;
 
-        // A storeless run adds no flag.
-        let argv = spec.worker_args(1, &range, 3, "");
-        assert!(!argv.iter().any(|a| a == "--structure-store"));
-        // A clean spec adds no fault flags.
-        assert!(!argv.iter().any(|a| a.starts_with("--fault")));
+    impl Strategy for ValidSpecs {
+        type Value = SpecParams;
+
+        fn generate(&self, rng: &mut TestRng) -> SpecParams {
+            const EXPERIMENTS: [&str; 9] = [
+                "table1",
+                "table2",
+                "fig1",
+                "fig2",
+                "scaling",
+                "lower-bounds",
+                "all",
+                "sweep",
+                "faults",
+            ];
+            let subcommand = EXPERIMENTS[rng.below(EXPERIMENTS.len() as u64) as usize];
+            let scaling = subcommand == "scaling";
+            let faults = subcommand == "faults";
+            let coin = |rng: &mut TestRng| rng.below(2) == 1;
+            let list = |rng: &mut TestRng, lo: u64, hi: u64| -> Vec<u64> {
+                (0..1 + rng.below(3))
+                    .map(|_| lo + rng.below(hi - lo + 1))
+                    .collect()
+            };
+            SpecParams {
+                subcommand: subcommand.into(),
+                quick: coin(rng),
+                sizes: coin(rng)
+                    .then(|| list(rng, 3, 40).into_iter().map(|n| n as usize).collect()),
+                universe_factors: (!scaling && coin(rng)).then(|| list(rng, 1, 64)),
+                reps: (!scaling && coin(rng)).then(|| 1 + rng.below(3)),
+                seed: coin(rng).then(|| rng.next_u64()),
+                structure_seeds: (!scaling && coin(rng))
+                    .then(|| 1 + rng.below(ring_combinat::STRONG_WINDOW)),
+                fault_drops: (faults && coin(rng)).then(|| list(rng, 0, 1000)),
+                fault_crashes: (faults && coin(rng)).then(|| rng.below(3)),
+                fault_churn: (faults && coin(rng)).then(|| rng.below(3)),
+                fault_adversarial: faults && coin(rng),
+            }
+        }
+    }
+
+    proptest! {
+        /// Every spec survives both of its encodings unchanged: worker argv
+        /// through the parser, and JSON (manifest `spec`, submission body)
+        /// through `from_json`.
+        #[test]
+        fn worker_args_round_trip_through_the_parser(spec in ValidSpecs) {
+            prop_assert!(resolve(&spec).is_ok(), "generated an invalid spec: {:?}", spec);
+            let range = ShardRange {
+                shard: 1,
+                start: 4,
+                end: 8,
+            };
+            let argv = spec.worker_args(2, &range, 3, "run/structures");
+            let parsed = parse(&argv).unwrap();
+            prop_assert_eq!(&parsed.command, "worker");
+            prop_assert_eq!(parsed.shard, Some((1, 3)));
+            prop_assert_eq!(parsed.jobs, 2);
+            prop_assert_eq!(
+                &parsed.structure_store,
+                &Some(Some("run/structures".to_string()))
+            );
+            prop_assert_eq!(&parsed.spec, &spec);
+
+            let json = serde_json::to_string(&spec).unwrap();
+            let value = serde_json::from_str(&json).unwrap();
+            prop_assert_eq!(&SpecParams::from_json(&value).unwrap(), &spec);
+
+            // A storeless run adds no flag; a clean spec no fault flags.
+            let storeless = spec.worker_args(1, &range, 3, "");
+            prop_assert!(!storeless.iter().any(|a| a == "--structure-store"));
+            if spec.subcommand != "faults" {
+                prop_assert!(!storeless.iter().any(|a| a.starts_with("--fault")));
+            }
+        }
     }
 
     #[test]
@@ -2353,13 +2094,21 @@ mod tests {
             "--fault-adversarial",
         ]))
         .unwrap();
-        assert_eq!(options.fault_drops, Some(vec![0, 100, 400]));
-        assert_eq!(options.fault_crashes, Some(1));
-        assert_eq!(options.fault_churn, Some(2));
-        assert!(options.fault_adversarial);
-        let spec = sweep_spec(&options);
         assert_eq!(
-            spec.faults,
+            options.spec,
+            SpecParams {
+                subcommand: "faults".into(),
+                quick: true,
+                fault_drops: Some(vec![0, 100, 400]),
+                fault_crashes: Some(1),
+                fault_churn: Some(2),
+                fault_adversarial: true,
+                ..Default::default()
+            }
+        );
+        let resolved = resolve(&options.spec).unwrap();
+        assert_eq!(
+            resolved.sweep.faults,
             Some(FaultAxes {
                 drops: vec![0, 100, 400],
                 crashes: 1,
@@ -2369,52 +2118,33 @@ mod tests {
         );
 
         // A bare `faults` run sweeps the standard axes.
-        let bare = parse(&args(&["faults", "--quick"])).unwrap();
-        assert_eq!(sweep_spec(&bare).faults, Some(FaultAxes::standard()));
-        // Clean subcommands stay fault-free (stable fingerprints) and
-        // reject fault flags outright.
-        assert_eq!(sweep_spec(&parse(&args(&["sweep"])).unwrap()).faults, None);
-        assert!(parse(&args(&["sweep", "--fault-drops", "100"])).is_err());
-        assert!(parse(&args(&["table1", "--fault-adversarial"])).is_err());
+        let bare = resolve_args(&["faults", "--quick"]).unwrap();
+        assert_eq!(bare.sweep.faults, Some(FaultAxes::standard()));
+        // Clean subcommands stay fault-free (stable fingerprints); the
+        // resolver refuses fault axes on them outright.
+        assert_eq!(resolve_args(&["sweep"]).unwrap().sweep.faults, None);
+        assert!(resolve_args(&["sweep", "--fault-drops", "100"]).is_err());
+        assert!(resolve_args(&["table1", "--fault-adversarial"]).is_err());
         // Rates are per mille; nonsense is rejected.
-        assert!(parse(&args(&["faults", "--fault-drops", "1001"])).is_err());
-        assert!(parse(&args(&["faults", "--fault-drops", ","])).is_err());
+        assert!(resolve_args(&["faults", "--fault-drops", "1001"]).is_err());
+        assert!(resolve_args(&["faults", "--fault-drops", ","]).is_err());
         assert!(parse(&args(&["faults", "--shard-timeout", "0"])).is_err());
 
         // The worker round trip: a worker of a faulty sweep resolves the
         // same axes — and the same fingerprint — as its orchestrator.
-        let spec_params = SpecParams {
-            subcommand: "faults".into(),
-            quick: true,
-            sizes: None,
-            universe_factors: None,
-            reps: None,
-            seed: None,
-            structure_seeds: None,
-            fault_drops: Some(vec![0, 100, 400]),
-            fault_crashes: Some(1),
-            fault_churn: Some(2),
-            fault_adversarial: true,
-        };
         let range = ShardRange {
             shard: 0,
             start: 0,
             end: 2,
         };
-        let argv = spec_params.worker_args(1, &range, 2, "");
-        let worker = parse(&argv).unwrap();
-        assert_eq!(effective_subcommand(&worker), "faults");
-        assert_eq!(sweep_spec(&worker).faults, spec.faults);
-        let scaling = ScalingSpec::standard();
+        let worker = parse(&options.spec.worker_args(1, &range, 2, "")).unwrap();
+        assert_eq!(worker.spec, options.spec);
         assert_eq!(
-            spec_fingerprint("faults", &sweep_spec(&worker), &scaling),
-            spec_fingerprint("faults", &spec, &scaling)
+            resolve(&worker.spec).unwrap().fingerprint,
+            resolved.fingerprint
         );
         // Fault axes are spec-affecting: defaults and overrides differ.
-        assert_ne!(
-            spec_fingerprint("faults", &sweep_spec(&bare), &scaling),
-            spec_fingerprint("faults", &spec, &scaling)
-        );
+        assert_ne!(bare.fingerprint, resolved.fingerprint);
     }
 
     #[test]
@@ -2463,7 +2193,7 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(explicit.structure_store, Some(Some("some/dir".into())));
-        assert!(explicit.quick);
+        assert!(explicit.spec.quick);
 
         // Bare flag followed by another flag: default directory.
         let bare = parse(&args(&["sweep", "--structure-store", "--jobs", "2"])).unwrap();
@@ -2489,74 +2219,57 @@ mod tests {
 
     #[test]
     fn structure_seed_schedule_flags_parse_and_validate() {
-        // Fixed by default; bare --structure-seeds implies per-case.
-        assert_eq!(parse(&args(&["sweep"])).unwrap().structure_seeds, None);
-        assert_eq!(
-            parse(&args(&["sweep", "--structure-seed-mode", "per-case"]))
-                .unwrap()
-                .structure_seeds,
-            Some(4)
-        );
+        // Absent = the fixed schedule; `--structure-seeds K` = the per-case
+        // schedule over K seeds. It is the only spelling.
+        assert_eq!(parse(&args(&["sweep"])).unwrap().spec.structure_seeds, None);
         assert_eq!(
             parse(&args(&["sweep", "--structure-seeds", "7"]))
                 .unwrap()
+                .spec
                 .structure_seeds,
             Some(7)
         );
-        assert_eq!(
-            parse(&args(&[
-                "sweep",
-                "--structure-seed-mode",
-                "per-case",
-                "--structure-seeds",
-                "2"
-            ]))
-            .unwrap()
-            .structure_seeds,
-            Some(2)
-        );
-        assert_eq!(
-            parse(&args(&["sweep", "--structure-seed-mode", "fixed"]))
-                .unwrap()
-                .structure_seeds,
-            None
-        );
-        // Contradictions and nonsense are usage errors.
-        assert!(parse(&args(&[
-            "sweep",
-            "--structure-seed-mode",
-            "fixed",
-            "--structure-seeds",
-            "2"
-        ]))
-        .is_err());
-        assert!(parse(&args(&["sweep", "--structure-seed-mode", "maybe"])).is_err());
-        assert!(parse(&args(&["sweep", "--structure-seeds", "0"])).is_err());
+        assert!(parse(&args(&["sweep", "--structure-seed-mode", "per-case"])).is_err());
+        assert!(parse(&args(&["sweep", "--structure-seeds", "maybe"])).is_err());
+        // Zero seeds is a spec error.
+        assert!(resolve_args(&["sweep", "--structure-seeds", "0"]).is_err());
         // K beyond the strong-window count would wrap onto repeated
         // windows; the boundary itself is fine.
-        assert!(parse(&args(&["sweep", "--structure-seeds", "65"])).is_err());
-        assert!(parse(&args(&["sweep", "--structure-seeds", "64"])).is_ok());
-        assert!(parse(&args(&["scaling", "--structure-seeds", "2"])).is_err());
+        assert!(resolve_args(&["sweep", "--structure-seeds", "65"]).is_err());
+        assert!(resolve_args(&["sweep", "--structure-seeds", "64"]).is_ok());
+        assert!(resolve_args(&["scaling", "--structure-seeds", "2"]).is_err());
         // The schedule is spec-affecting: it must move the fingerprint.
-        let fixed = parse(&args(&["sweep", "--quick"])).unwrap();
-        let diverse = parse(&args(&["sweep", "--quick", "--structure-seeds", "4"])).unwrap();
-        let scaling = ScalingSpec::standard();
-        assert_ne!(
-            spec_fingerprint("sweep", &sweep_spec(&fixed), &scaling),
-            spec_fingerprint("sweep", &sweep_spec(&diverse), &scaling)
-        );
+        let fixed = resolve_args(&["sweep", "--quick"]).unwrap();
+        let diverse = resolve_args(&["sweep", "--quick", "--structure-seeds", "4"]).unwrap();
+        assert_ne!(fixed.fingerprint, diverse.fingerprint);
     }
 
     #[test]
     fn fingerprints_separate_specs_and_subcommands() {
-        let spec = SweepSpec::quick();
-        let scaling = ScalingSpec::standard();
-        let base = spec_fingerprint("sweep", &spec, &scaling);
-        assert_ne!(base, spec_fingerprint("table1", &spec, &scaling));
-        let mut reseeded = spec.clone();
-        reseeded.seed ^= 1;
-        assert_ne!(base, spec_fingerprint("sweep", &reseeded, &scaling));
-        assert_eq!(base, spec_fingerprint("sweep", &spec.clone(), &scaling));
+        let fingerprint = |list: &[&str]| resolve_args(list).unwrap().fingerprint;
+        let base = fingerprint(&["sweep", "--quick"]);
+        assert_ne!(base, fingerprint(&["table1", "--quick"]));
+        assert_ne!(base, fingerprint(&["sweep", "--quick", "--seed", "8"]));
+        // The fingerprint is of the resolved grid: spelling out the quick
+        // repetition count (1) changes nothing.
+        assert_eq!(base, fingerprint(&["sweep", "--quick", "--reps", "1"]));
+        // Pinned: manifests written by earlier builds must still resume.
+        assert_eq!(fingerprint(&["sweep"]), "0xf234fcaa26104c59");
+        assert_eq!(
+            fingerprint(&["sweep", "--quick", "--structure-seeds", "3"]),
+            "0xd17598ad24301cf5"
+        );
+        assert_eq!(
+            fingerprint(&[
+                "faults",
+                "--quick",
+                "--fault-drops",
+                "0,100",
+                "--fault-crashes",
+                "1"
+            ]),
+            "0xa06afa18707c1de5"
+        );
     }
 
     #[test]

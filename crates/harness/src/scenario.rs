@@ -8,7 +8,9 @@
 //! per-case round counts, phase accounting and theory-bound comparisons
 //! that the engine streams as JSON-lines and renders as markdown tables.
 
+use ring_combinat::shared::splitmix64;
 use ring_combinat::{StructureKey, StructureKind};
+use ring_distrib::SpecParams;
 use ring_experiments::distinguisher_scaling::{
     family_sizes_case, weak_nontrivial_move_case, ScalingSpec,
 };
@@ -474,6 +476,204 @@ pub fn all_items(spec: &SweepSpec, scaling: &ScalingSpec) -> Vec<WorkItem> {
     items
 }
 
+/// The most cases one spec may enumerate: sizes × universe factors ×
+/// repetitions × drop rates. Checked before any enumeration, so an
+/// absurd spec is refused instead of exhausting memory; the standard
+/// Table I/II grid is 36 cases.
+pub const MAX_CASES: u64 = 1 << 20;
+
+/// A validated sweep spec with everything it resolves to.
+pub struct Resolved {
+    /// The table / figure / fault sweep grid.
+    pub sweep: SweepSpec,
+    /// The distinguisher-scaling study's spec.
+    pub scaling: ScalingSpec,
+    /// The work items the spec's subcommand enumerates, in case order.
+    pub items: Vec<WorkItem>,
+    /// Fingerprint of the enumeration (hex, `0x…`), pinning run manifests
+    /// to the spec and binary that produced them.
+    pub fingerprint: String,
+}
+
+/// Validates a sweep spec and resolves it to its grid, work items and
+/// fingerprint. This is the only place a spec's values are checked, so the
+/// CLI, workers, daemon submissions, `resume` and `structures prebuild`
+/// accept exactly the same specs and enumerate them identically.
+///
+/// # Errors
+///
+/// Returns a description of the first unusable value: an unknown
+/// subcommand, an empty list, a zero count, a seed schedule beyond the
+/// strong-window count, an axis the subcommand does not take, a drop rate
+/// above 1000‰, or a grid of more than [`MAX_CASES`] cases.
+pub fn resolve(params: &SpecParams) -> Result<Resolved, String> {
+    check(params)?;
+    let sweep = sweep_spec(params);
+    let scaling = scaling_spec(params);
+    let drops = sweep.faults.as_ref().map_or(1, |f| f.drops.len() as u64);
+    let cases = (sweep.sizes.len() as u64)
+        .checked_mul(sweep.universe_factors.len() as u64)
+        .and_then(|cases| cases.checked_mul(sweep.repetitions))
+        .and_then(|cases| cases.checked_mul(drops));
+    if cases.is_none_or(|cases| cases > MAX_CASES) {
+        return Err(format!(
+            "the spec enumerates more than {MAX_CASES} cases \
+             (sizes × universe_factors × reps × fault_drops)"
+        ));
+    }
+    let items = match params.subcommand.as_str() {
+        "table1" => table1_items(&sweep),
+        "table2" => table2_items(&sweep),
+        "fig1" => fig1_items(&sweep),
+        "fig2" => fig2_items(&sweep),
+        "scaling" => scaling_items(&scaling),
+        "lower-bounds" => lower_bounds_items(&sweep),
+        "all" => all_items(&sweep, &scaling),
+        // The generic sweep: the full Table I + Table II pipeline over the
+        // (possibly overridden) case grid.
+        "sweep" => {
+            let mut items = table1_items(&sweep);
+            items.extend(table2_items(&sweep));
+            items
+        }
+        "faults" => faults_items(&sweep),
+        other => return Err(format!("unknown subcommand `{other}`")),
+    };
+    let fingerprint = fingerprint(&params.subcommand, &sweep, &scaling);
+    Ok(Resolved {
+        sweep,
+        scaling,
+        items,
+        fingerprint,
+    })
+}
+
+/// The value checks of [`resolve`], before anything is built.
+fn check(params: &SpecParams) -> Result<(), String> {
+    if params.sizes.as_ref().is_some_and(Vec::is_empty) {
+        return Err("`sizes` needs at least one size".into());
+    }
+    if params.universe_factors.as_ref().is_some_and(Vec::is_empty) {
+        return Err("`universe_factors` needs at least one factor".into());
+    }
+    if params.reps == Some(0) {
+        return Err("`reps` must be positive".into());
+    }
+    if params.structure_seeds == Some(0) {
+        return Err("`structure_seeds` must be positive".into());
+    }
+    // Beyond the window count, schedule slots would wrap onto already-used
+    // strong windows and silently repeat bit-identical strong sequences —
+    // refuse rather than mislabel collapsed diversity as K distinct seeds.
+    if params
+        .structure_seeds
+        .is_some_and(|k| k > ring_combinat::STRONG_WINDOW)
+    {
+        return Err(format!(
+            "`structure_seeds` supports at most {} distinct seeds (strong sequences \
+are windows into one universal sequence with {} window offsets)",
+            ring_combinat::STRONG_WINDOW,
+            ring_combinat::STRONG_WINDOW,
+        ));
+    }
+    // The scaling study's universe is absolute, it measures each set size
+    // once, and its structures are keyed by the scaling seed.
+    if params.subcommand == "scaling"
+        && (params.universe_factors.is_some()
+            || params.reps.is_some()
+            || params.structure_seeds.is_some())
+    {
+        return Err(
+            "`scaling` takes no `universe_factors`, `reps` or `structure_seeds` \
+             (only quick, sizes and seed)"
+                .into(),
+        );
+    }
+    let fault_axes_given = params.fault_drops.is_some()
+        || params.fault_crashes.is_some()
+        || params.fault_churn.is_some()
+        || params.fault_adversarial;
+    if fault_axes_given && params.subcommand != "faults" {
+        return Err("fault axes apply only to the `faults` subcommand".into());
+    }
+    if params.fault_drops.as_ref().is_some_and(Vec::is_empty) {
+        return Err("`fault_drops` needs at least one rate".into());
+    }
+    if params
+        .fault_drops
+        .as_ref()
+        .is_some_and(|drops| drops.iter().any(|&d| d > 1000))
+    {
+        return Err("`fault_drops` rates are per mille (at most 1000)".into());
+    }
+    Ok(())
+}
+
+fn sweep_spec(params: &SpecParams) -> SweepSpec {
+    let mut spec = if params.quick {
+        SweepSpec::quick()
+    } else {
+        SweepSpec::standard()
+    };
+    if let Some(sizes) = &params.sizes {
+        spec.sizes = sizes.clone();
+    }
+    if let Some(factors) = &params.universe_factors {
+        spec.universe_factors = factors.clone();
+    }
+    if let Some(reps) = params.reps {
+        spec.repetitions = reps;
+    }
+    if let Some(seed) = params.seed {
+        spec.seed = seed;
+    }
+    spec.structure_seeds = params.structure_seeds;
+    // Only a faulty sweep carries fault axes: clean subcommands keep their
+    // pre-fault-layer fingerprints.
+    if params.subcommand == "faults" {
+        let standard = FaultAxes::standard();
+        spec.faults = Some(FaultAxes {
+            drops: params.fault_drops.clone().unwrap_or(standard.drops),
+            crashes: params.fault_crashes.unwrap_or(standard.crashes),
+            churn: params.fault_churn.unwrap_or(standard.churn),
+            adversarial: params.fault_adversarial || standard.adversarial,
+        });
+    }
+    spec
+}
+
+fn scaling_spec(params: &SpecParams) -> ScalingSpec {
+    let mut scaling = if params.quick {
+        // Reduced sizes for smoke runs, exercising both family kinds and
+        // the protocol-driven measurement.
+        ScalingSpec {
+            universe: 1 << 10,
+            sizes: vec![8, 16],
+            seed: 41,
+        }
+    } else {
+        ScalingSpec::standard()
+    };
+    if let Some(sizes) = &params.sizes {
+        scaling.sizes = sizes.clone();
+    }
+    if let Some(seed) = params.seed {
+        scaling.seed = seed;
+    }
+    scaling
+}
+
+/// Fingerprint of the case enumeration a subcommand resolves to.
+fn fingerprint(subcommand: &str, spec: &SweepSpec, scaling: &ScalingSpec) -> String {
+    let mut h = splitmix64(0x41_6e_67_65_6c_69_6b_61);
+    for b in subcommand.bytes() {
+        h = splitmix64(h ^ u64::from(b));
+    }
+    h = splitmix64(h ^ spec.fingerprint());
+    h = splitmix64(h ^ scaling.fingerprint());
+    format!("0x{h:016x}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,6 +741,88 @@ mod tests {
         assert_eq!(record.experiment, "faults");
         assert!(record.verified);
         assert_eq!(record.measurements.len(), 6);
+    }
+
+    #[test]
+    fn resolve_refuses_every_unusable_spec_value() {
+        let spec = |subcommand: &str| SpecParams {
+            subcommand: subcommand.into(),
+            quick: true,
+            ..Default::default()
+        };
+        assert!(resolve(&spec("sweep")).is_ok());
+        let refused = [
+            SpecParams {
+                subcommand: "nope".into(),
+                ..spec("sweep")
+            },
+            SpecParams {
+                sizes: Some(vec![]),
+                ..spec("sweep")
+            },
+            SpecParams {
+                universe_factors: Some(vec![]),
+                ..spec("sweep")
+            },
+            SpecParams {
+                reps: Some(0),
+                ..spec("sweep")
+            },
+            SpecParams {
+                structure_seeds: Some(0),
+                ..spec("sweep")
+            },
+            SpecParams {
+                structure_seeds: Some(ring_combinat::STRONG_WINDOW + 1),
+                ..spec("sweep")
+            },
+            SpecParams {
+                universe_factors: Some(vec![4]),
+                ..spec("scaling")
+            },
+            SpecParams {
+                reps: Some(2),
+                ..spec("scaling")
+            },
+            SpecParams {
+                structure_seeds: Some(2),
+                ..spec("scaling")
+            },
+            SpecParams {
+                fault_crashes: Some(1),
+                ..spec("sweep")
+            },
+            SpecParams {
+                fault_drops: Some(vec![]),
+                ..spec("faults")
+            },
+            SpecParams {
+                fault_drops: Some(vec![5000]),
+                ..spec("faults")
+            },
+            // Beyond MAX_CASES, and beyond u64 once multiplied out: both
+            // are refused before any case is enumerated.
+            SpecParams {
+                reps: Some(10_000_000_000),
+                ..spec("sweep")
+            },
+            SpecParams {
+                sizes: Some(vec![9; 3]),
+                reps: Some(u64::MAX),
+                ..spec("faults")
+            },
+        ];
+        for params in &refused {
+            assert!(resolve(params).is_err(), "accepted {params:?}");
+        }
+        // The bound is on the grid, inclusive.
+        let at_bound = SpecParams {
+            sizes: Some(vec![9]),
+            universe_factors: Some(vec![4]),
+            reps: Some(MAX_CASES),
+            ..spec("table1")
+        };
+        assert_eq!(resolve(&at_bound).unwrap().items.len() as u64, MAX_CASES);
     }
 
     #[test]

@@ -87,6 +87,12 @@ fn start_daemon(dir: &Path, extra: &[&str]) -> DaemonGuard {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn ringlab serve");
+    await_endpoint(child, data_dir)
+}
+
+/// Waits for a spawned daemon to publish its bound address in
+/// `<data_dir>/endpoint`.
+fn await_endpoint(child: Child, data_dir: PathBuf) -> DaemonGuard {
     // The guard owns the child from here on, so even the panic path below
     // reaps the daemon process.
     let mut daemon = DaemonGuard {
@@ -533,6 +539,52 @@ fn daemon_rejects_bad_submissions_and_reports_health() {
     let (status, body) = http(&daemon.addr, "GET", "/v1/workers", "");
     assert_eq!(status, 200);
     assert!(body.contains("\"registered\": 0"), "workers: {body}");
+
+    shutdown(daemon, Vec::new());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Specs the CLI refuses are refused by the daemon too, at submission:
+/// fault axes on a clean sweep, a drop rate above 1000‰, more structure
+/// seeds than strong windows, and a grid too large to enumerate. The first
+/// three used to be queued and then fail on every worker; the last made the
+/// daemon enumerate 3·10¹⁰ cases and abort on allocation failure.
+#[test]
+fn hostile_specs_are_refused_at_the_door() {
+    let dir = temp_dir("hostile-specs");
+    // Address space capped, so a regression that starts enumerating the
+    // huge grid dies of allocation failure instead of exhausting memory.
+    let data_dir = dir.join("daemon");
+    let child = Command::new("sh")
+        .arg("-c")
+        .arg(r#"ulimit -v 2000000 && exec "$0" serve --listen 127.0.0.1:0 --data-dir "$1""#)
+        .arg(env!("CARGO_BIN_EXE_ringlab"))
+        .arg(&data_dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn a memory-capped ringlab serve");
+    let daemon = await_endpoint(child, data_dir);
+
+    for body in [
+        r#"{"subcommand":"sweep","quick":true,"fault_crashes":1}"#,
+        r#"{"subcommand":"faults","quick":true,"fault_drops":[5000]}"#,
+        r#"{"subcommand":"sweep","quick":true,"structure_seeds":1000}"#,
+        r#"{"subcommand":"sweep","quick":true,"reps":10000000000}"#,
+    ] {
+        let (status, reply) = http(&daemon.addr, "POST", "/v1/runs", body);
+        assert_eq!(status, 400, "{body}: {reply}");
+        assert!(reply.contains("error"), "rejection needs a reason: {reply}");
+        let (status, runs) = http(&daemon.addr, "GET", "/v1/runs", "");
+        assert_eq!(status, 200);
+        assert!(
+            runs.contains("\"runs\": []"),
+            "{body} created a run: {runs}"
+        );
+        let (status, health) = http(&daemon.addr, "GET", "/v1/healthz", "");
+        assert_eq!(status, 200, "{body} took the daemon down");
+        assert!(health.contains("ring-serve/v1"), "healthz: {health}");
+    }
 
     shutdown(daemon, Vec::new());
     std::fs::remove_dir_all(&dir).ok();

@@ -12,7 +12,7 @@
 use serde::Value;
 
 /// The largest request head (request line plus headers) the daemon
-/// accepts; a longer one is refused with a 400.
+/// accepts; a longer one is refused with a 431.
 pub const MAX_HEAD: usize = 64 * 1024;
 
 /// The largest request body the daemon accepts. A sweep spec is a few
@@ -27,6 +27,8 @@ pub enum RequestError {
     Malformed(String),
     /// A `Content-Length` above [`MAX_BODY`] (answered with 413).
     BodyTooLarge(u64),
+    /// A request head longer than [`MAX_HEAD`] (answered with 431).
+    HeadTooLarge,
 }
 
 impl RequestError {
@@ -38,6 +40,11 @@ impl RequestError {
                 413,
                 "Payload Too Large",
                 &format!("request body of {claimed} bytes exceeds the {MAX_BODY}-byte limit"),
+            ),
+            RequestError::HeadTooLarge => error_response(
+                431,
+                "Request Header Fields Too Large",
+                &format!("request head exceeds the {MAX_HEAD}-byte limit"),
             ),
         }
     }
@@ -75,14 +82,15 @@ pub struct Request {
 /// # Errors
 ///
 /// [`RequestError::Malformed`] for a malformed request line or header
-/// block, [`RequestError::BodyTooLarge`] as soon as the head claims a body
-/// above [`MAX_BODY`].
+/// block, [`RequestError::HeadTooLarge`] once the head outgrows
+/// [`MAX_HEAD`], [`RequestError::BodyTooLarge`] as soon as the head claims
+/// a body above [`MAX_BODY`].
 pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, RequestError> {
     let Some(head_end) = find_blank_line(&buf[..buf.len().min(MAX_HEAD + 4)]) else {
         // An absurdly long header block is an attack or a confused peer,
         // not a slow request.
         if buf.len() > MAX_HEAD {
-            return Err("request header block exceeds 64 KiB".into());
+            return Err(RequestError::HeadTooLarge);
         }
         return Ok(None);
     };
@@ -215,6 +223,16 @@ mod tests {
         // …while a body at the cap is still just incomplete.
         let at = format!("POST /v1/runs HTTP/1.1\r\nContent-Length: {MAX_BODY}\r\n\r\n");
         assert_eq!(parse_request(at.as_bytes()), Ok(None));
+
+        // A head still unterminated past the cap is refused with a 431; at
+        // the cap it is still just incomplete.
+        let mut head = b"GET /v1/healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+        head.resize(MAX_HEAD, b'a');
+        assert_eq!(parse_request(&head), Ok(None));
+        head.push(b'a');
+        assert_eq!(parse_request(&head), Err(RequestError::HeadTooLarge));
+        let response = String::from_utf8(RequestError::HeadTooLarge.response()).unwrap();
+        assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
     }
 
     #[test]
