@@ -1,12 +1,12 @@
 //! Element-wise reference implementations of the probabilistic
 //! constructions.
 //!
-//! These are the pre-word-parallel builders, kept verbatim as (a) baselines
-//! for the `bench_combinat` speedup trajectory (`BENCH_combinat.json`) and
-//! (b) oracles for property tests: the word-parallel constructions must
-//! produce families that pass exactly the same validity verifiers. They are
-//! **not** part of the performance surface — never call them from protocol
-//! code.
+//! These are the pre-word-parallel builders, kept verbatim as (a) the
+//! baselines `bench_combinat` times the word-parallel paths against (its
+//! `--quick` run is CI's kernel gate) and (b) oracles for property tests:
+//! the word-parallel constructions must produce families that pass exactly
+//! the same validity verifiers. They are **not** part of the performance
+//! surface — never call them from protocol code.
 
 use crate::bounds::nontrivial_move_round_bound;
 use crate::distinguisher::Distinguisher;

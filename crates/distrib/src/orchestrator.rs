@@ -71,6 +71,11 @@ const BACKOFF_JITTER_SALT: u64 = 0xbac0_ff5e_0000_0001;
 /// How often the watchdog polls a supervised worker against its deadline.
 const WATCHDOG_POLL: Duration = Duration::from_millis(25);
 
+/// The longest worker protocol line accepted, in bytes. Real record lines
+/// stay within a few kilobytes; a longer line fails the attempt instead of
+/// growing the orchestrator's memory without bound.
+const MAX_LINE: usize = 1 << 20;
+
 /// The delay before retry `attempt` (1-based) of a shard: bounded
 /// exponential backoff plus deterministic jitter. The jitter is a pure
 /// function of `(shard, attempt)` — no wall clock, no global RNG — so a
@@ -498,15 +503,36 @@ fn consume_worker_stream(
     let mut next_index = range.start;
     let mut done: Option<ShardStats> = None;
 
-    for line in BufReader::new(stdout).lines() {
-        let line = line.map_err(|e| format!("broken worker pipe: {e}"))?;
+    let mut reader = BufReader::new(stdout);
+    let mut bytes = Vec::new();
+    loop {
+        bytes.clear();
+        (&mut reader)
+            .take(MAX_LINE as u64 + 1)
+            .read_until(b'\n', &mut bytes)
+            .map_err(|e| format!("broken worker pipe: {e}"))?;
+        if bytes.is_empty() {
+            break;
+        }
+        if bytes.last() == Some(&b'\n') {
+            bytes.pop();
+            if bytes.last() == Some(&b'\r') {
+                bytes.pop();
+            }
+        } else if bytes.len() > MAX_LINE {
+            return Err(format!(
+                "worker line exceeds the {MAX_LINE}-byte protocol line cap"
+            ));
+        }
+        let line = std::str::from_utf8(&bytes)
+            .map_err(|e| format!("broken worker pipe: line is not UTF-8: {e}"))?;
         if line.is_empty() {
             continue;
         }
         if done.is_some() {
             return Err(format!("worker spoke after its done event: {line}"));
         }
-        match parse_worker_line(&line)? {
+        match parse_worker_line(line)? {
             WorkerLine::Start(start) => {
                 if started {
                     return Err("duplicate start event".into());
@@ -662,6 +688,20 @@ mod tests {
             .map(|l| format!("echo '{l}'"))
             .collect::<Vec<_>>()
             .join(" && ")
+    }
+
+    #[test]
+    fn a_line_beyond_the_cap_fails_the_attempt() {
+        let dir = temp_dir("line-cap");
+        let range = plan_shards(4, 1)[0];
+        let start = serde_json::to_string(&StartEvent::new(0, 1, 0, 4, "0xfeed")).unwrap() + "\n";
+        let stream = start
+            .as_bytes()
+            .chain(std::io::repeat(b'x').take(MAX_LINE as u64 + 2));
+        let err = consume_worker_stream(stream, &range, "0xfeed", &dir.join("shard.tmp"), false)
+            .unwrap_err();
+        assert!(err.contains(&MAX_LINE.to_string()), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

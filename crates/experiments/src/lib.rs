@@ -9,8 +9,8 @@
 //! Each experiment is a pure function from a [`SweepSpec`] (or one of its
 //! [`Case`]s) to a set of [`Measurement`]s, so the same code backs the
 //! `ringlab` command-line interface of the `ring-harness` crate and the
-//! Criterion benchmarks in the `ring-bench` crate. Every experiment comes
-//! in two granularities:
+//! repository benchmark under `perfbench/`. Every experiment comes in two
+//! granularities:
 //!
 //! * a whole-sweep function (e.g. [`tables::table1`]) that runs serially
 //!   and constructs every combinatorial structure from scratch, and

@@ -1915,6 +1915,7 @@ mod tests {
     use proptest::TestRng;
     use ring_distrib::ShardRange;
     use ring_experiments::FaultAxes;
+    use ring_sim::config::MIN_AGENTS;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -2029,8 +2030,11 @@ mod tests {
             SpecParams {
                 subcommand: subcommand.into(),
                 quick: coin(rng),
-                sizes: coin(rng)
-                    .then(|| list(rng, 3, 40).into_iter().map(|n| n as usize).collect()),
+                // Set sizes may be below a ring's minimum; ring sizes not.
+                sizes: coin(rng).then(|| {
+                    let lo = if scaling { 3 } else { MIN_AGENTS as u64 };
+                    list(rng, lo, 40).into_iter().map(|n| n as usize).collect()
+                }),
                 universe_factors: (!scaling && coin(rng)).then(|| list(rng, 1, 64)),
                 reps: (!scaling && coin(rng)).then(|| 1 + rng.below(3)),
                 seed: coin(rng).then(|| rng.next_u64()),

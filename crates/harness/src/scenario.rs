@@ -21,6 +21,7 @@ use ring_experiments::tables::{table1_case, table2_case};
 use ring_experiments::{Case, FaultAxes, Measurement, SweepSpec};
 use ring_protocols::fault::FaultParams;
 use ring_protocols::structures::SharedStructures;
+use ring_sim::config::MIN_AGENTS;
 use ring_sim::Model;
 use serde::Serialize;
 
@@ -482,6 +483,12 @@ pub fn all_items(spec: &SweepSpec, scaling: &ScalingSpec) -> Vec<WorkItem> {
 /// Table I/II grid is 36 cases.
 pub const MAX_CASES: u64 = 1 << 20;
 
+/// The largest identifier universe `factor · n` one grid case may have.
+/// A case's structures are sized by its universe: one n = 16 Table I case
+/// peaks at about 170 MB resident at this bound, where the standard grids
+/// stay at or below 2^17.
+pub const MAX_UNIVERSE: u64 = 1 << 28;
+
 /// A validated sweep spec with everything it resolves to.
 pub struct Resolved {
     /// The table / figure / fault sweep grid.
@@ -505,11 +512,32 @@ pub struct Resolved {
 /// Returns a description of the first unusable value: an unknown
 /// subcommand, an empty list, a zero count, a seed schedule beyond the
 /// strong-window count, an axis the subcommand does not take, a drop rate
-/// above 1000‰, or a grid of more than [`MAX_CASES`] cases.
+/// above 1000‰, a ring size below [`MIN_AGENTS`], a universe beyond
+/// [`MAX_UNIVERSE`], or a grid of more than [`MAX_CASES`] cases.
 pub fn resolve(params: &SpecParams) -> Result<Resolved, String> {
     check(params)?;
     let sweep = sweep_spec(params);
     let scaling = scaling_spec(params);
+    // Every subcommand but `scaling` builds rings of the grid's sizes in
+    // universes of `factor · n` ids; the scaling study's sizes are set
+    // sizes and its universe is absolute.
+    if params.subcommand != "scaling" {
+        if let Some(n) = sweep.sizes.iter().find(|&&n| n < MIN_AGENTS) {
+            return Err(format!(
+                "ring size {n} is below the protocols' minimum of {MIN_AGENTS} agents"
+            ));
+        }
+        let largest_n = sweep.sizes.iter().max().map_or(0, |&n| n as u64);
+        let largest_factor = sweep.universe_factors.iter().max().copied().unwrap_or(0);
+        if largest_factor
+            .checked_mul(largest_n)
+            .is_none_or(|universe| universe > MAX_UNIVERSE)
+        {
+            return Err(format!(
+                "the spec's largest universe (universe_factor × size) exceeds {MAX_UNIVERSE}"
+            ));
+        }
+    }
     let drops = sweep.faults.as_ref().map_or(1, |f| f.drops.len() as u64);
     let cases = (sweep.sizes.len() as u64)
         .checked_mul(sweep.universe_factors.len() as u64)
@@ -555,6 +583,13 @@ fn check(params: &SpecParams) -> Result<(), String> {
     }
     if params.universe_factors.as_ref().is_some_and(Vec::is_empty) {
         return Err("`universe_factors` needs at least one factor".into());
+    }
+    if params
+        .universe_factors
+        .as_ref()
+        .is_some_and(|factors| factors.contains(&0))
+    {
+        return Err("`universe_factors` must be positive".into());
     }
     if params.reps == Some(0) {
         return Err("`reps` must be positive".into());
@@ -811,6 +846,38 @@ mod tests {
                 reps: Some(u64::MAX),
                 ..spec("faults")
             },
+            // Rings the protocols cannot run, and universes that are zero,
+            // wrap u64 or would exhaust memory.
+            SpecParams {
+                sizes: Some(vec![MIN_AGENTS - 1]),
+                ..spec("sweep")
+            },
+            SpecParams {
+                sizes: Some(vec![16, 1]),
+                ..spec("faults")
+            },
+            SpecParams {
+                sizes: Some(vec![4]),
+                ..spec("all")
+            },
+            SpecParams {
+                universe_factors: Some(vec![4, 0]),
+                ..spec("sweep")
+            },
+            SpecParams {
+                sizes: Some(vec![16]),
+                universe_factors: Some(vec![u64::MAX]),
+                ..spec("sweep")
+            },
+            SpecParams {
+                sizes: Some(vec![16]),
+                universe_factors: Some(vec![1 << 32]),
+                ..spec("table1")
+            },
+            SpecParams {
+                universe_factors: Some(vec![MAX_UNIVERSE]),
+                ..spec("lower-bounds")
+            },
         ];
         for params in &refused {
             assert!(resolve(params).is_err(), "accepted {params:?}");
@@ -823,6 +890,19 @@ mod tests {
             ..spec("table1")
         };
         assert_eq!(resolve(&at_bound).unwrap().items.len() as u64, MAX_CASES);
+        // The universe bound is inclusive too, and the scaling study's set
+        // sizes may be smaller than a ring.
+        let universe_at_bound = SpecParams {
+            sizes: Some(vec![16]),
+            universe_factors: Some(vec![MAX_UNIVERSE / 16]),
+            ..spec("table1")
+        };
+        assert!(resolve(&universe_at_bound).is_ok());
+        let small_sets = SpecParams {
+            sizes: Some(vec![4]),
+            ..spec("scaling")
+        };
+        assert!(resolve(&small_sets).is_ok());
     }
 
     #[test]

@@ -509,6 +509,29 @@ fn oversized_content_lengths_are_refused_and_the_daemon_survives() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A request whose head never completes is answered 408 at the
+/// connection deadline instead of being cut silently, and the daemon keeps
+/// serving.
+#[test]
+fn a_stalled_request_gets_408_and_the_daemon_survives() {
+    let dir = temp_dir("stalled");
+    let daemon = start_daemon(&dir, &[]);
+
+    let mut stream = std::net::TcpStream::connect(&daemon.addr).expect("connect to daemon");
+    stream
+        .write_all(b"POST /v1/runs HTTP/1.1\r\nContent-Len")
+        .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 408 "), "{response:?}");
+    let (status, body) = http(&daemon.addr, "GET", "/v1/healthz", "");
+    assert_eq!(status, 200);
+    assert!(body.contains("ring-serve/v1"), "healthz: {body}");
+
+    shutdown(daemon, Vec::new());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The service rejects what it cannot run — bad JSON, unknown
 /// subcommands, zero-case specs — with a 400 and a reason, and serves its
 /// health and worker inventory endpoints.
@@ -546,9 +569,11 @@ fn daemon_rejects_bad_submissions_and_reports_health() {
 
 /// Specs the CLI refuses are refused by the daemon too, at submission:
 /// fault axes on a clean sweep, a drop rate above 1000‰, more structure
-/// seeds than strong windows, and a grid too large to enumerate. The first
-/// three used to be queued and then fail on every worker; the last made the
-/// daemon enumerate 3·10¹⁰ cases and abort on allocation failure.
+/// seeds than strong windows, a grid too large to enumerate, rings below
+/// the protocols' minimum size, and universes that are zero, wrap `u64` or
+/// would exhaust memory. Most of these used to be queued and then fail on
+/// every worker; the huge grid made the daemon enumerate 3·10¹⁰ cases and
+/// abort on allocation failure.
 #[test]
 fn hostile_specs_are_refused_at_the_door() {
     let dir = temp_dir("hostile-specs");
@@ -571,6 +596,11 @@ fn hostile_specs_are_refused_at_the_door() {
         r#"{"subcommand":"faults","quick":true,"fault_drops":[5000]}"#,
         r#"{"subcommand":"sweep","quick":true,"structure_seeds":1000}"#,
         r#"{"subcommand":"sweep","quick":true,"reps":10000000000}"#,
+        r#"{"subcommand":"sweep","quick":true,"sizes":[4],"shards":2}"#,
+        r#"{"subcommand":"faults","quick":true,"sizes":[3]}"#,
+        r#"{"subcommand":"sweep","quick":true,"universe_factors":[0]}"#,
+        r#"{"subcommand":"sweep","sizes":[16],"universe_factors":[18446744073709551615]}"#,
+        r#"{"subcommand":"sweep","sizes":[16],"universe_factors":[4294967296]}"#,
     ] {
         let (status, reply) = http(&daemon.addr, "POST", "/v1/runs", body);
         assert_eq!(status, 400, "{body}: {reply}");

@@ -20,7 +20,7 @@
 //! in case order (the contiguous shard plan makes "complete prefix of
 //! shards, concatenated" equal to the final merge order).
 
-use crate::http::{self, Request};
+use crate::http::{self, Request, RequestError};
 use crate::pool::{TcpWorkerTransport, WorkerPool};
 use crate::SCHEMA;
 use ring_distrib::{
@@ -74,8 +74,8 @@ pub struct ServeConfig {
 const POLL_SLEEP: Duration = Duration::from_millis(5);
 const SUBSCRIBE_POLL: Duration = Duration::from_millis(50);
 
-/// Idle HTTP connections are dropped after this long without a complete
-/// request.
+/// A connection still without a complete request after this long is
+/// closed; a partial HTTP request is answered 408 first.
 const CONN_IDLE_LIMIT: Duration = Duration::from_secs(10);
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -254,8 +254,18 @@ fn step_connection(daemon: &Arc<Daemon>, conn: &mut PendingConn) -> ConnVerdict 
         }
     }
 
-    if eof || conn.since.elapsed() > CONN_IDLE_LIMIT {
+    if eof {
         conn.stream.shutdown(Shutdown::Both).ok();
+        return ConnVerdict::Done;
+    }
+    if conn.since.elapsed() > CONN_IDLE_LIMIT {
+        // A stalled HTTP request learns why it is cut; a silent or
+        // half-sent worker hello is simply dropped.
+        if conn.buf.first().is_some_and(|&b| b != b'{') {
+            respond(conn, &RequestError::Timeout.response());
+        } else {
+            conn.stream.shutdown(Shutdown::Both).ok();
+        }
         return ConnVerdict::Done;
     }
     ConnVerdict::Keep

@@ -29,6 +29,9 @@ pub enum RequestError {
     BodyTooLarge(u64),
     /// A request head longer than [`MAX_HEAD`] (answered with 431).
     HeadTooLarge,
+    /// A request still incomplete at the connection deadline (answered
+    /// with 408).
+    Timeout,
 }
 
 impl RequestError {
@@ -45,6 +48,11 @@ impl RequestError {
                 431,
                 "Request Header Fields Too Large",
                 &format!("request head exceeds the {MAX_HEAD}-byte limit"),
+            ),
+            RequestError::Timeout => error_response(
+                408,
+                "Request Timeout",
+                "request still incomplete at the connection deadline",
             ),
         }
     }
@@ -233,6 +241,8 @@ mod tests {
         assert_eq!(parse_request(&head), Err(RequestError::HeadTooLarge));
         let response = String::from_utf8(RequestError::HeadTooLarge.response()).unwrap();
         assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
+        let response = String::from_utf8(RequestError::Timeout.response()).unwrap();
+        assert!(response.starts_with("HTTP/1.1 408 "), "{response}");
     }
 
     #[test]
