@@ -170,15 +170,11 @@ impl<'a> Network<'a> {
     /// dropped message or a crashed station is a physical failure, not a
     /// protocol choice, and is legal even where idling is forbidden.
     ///
-    /// Installing a plan also promotes the event-driven engine to the
-    /// executor for this network: faulty runs are exactly the territory the
-    /// analytic shortcuts were never validated on, so they run on the
-    /// collision-exact reference simulator. (The two engines agree on
-    /// fault-free plans; [`Network::with_engine`] after this call overrides
-    /// the choice.)
+    /// The plan leaves the engine as it is: the analytic kernel models
+    /// idle agents, collisions included, and a test pins it to the
+    /// event-driven reference on faulty runs of every fault kind and model.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self.engine = EngineKind::Event;
         self
     }
 
@@ -694,34 +690,99 @@ mod tests {
         assert_eq!(net.rounds_used(), 12);
     }
 
+    /// The analytic kernel runs faulty networks. The event-driven
+    /// reference, pinned with `with_engine`, must observe the same rounds —
+    /// offsets and `dist` exactly, `coll` within 2 ticks — under every
+    /// fault kind in every model, and leader election and direction
+    /// agreement must reach identical results in identical round counts.
     #[test]
-    fn fault_free_plans_agree_across_engines() {
+    fn faulty_runs_agree_across_engines() {
+        use crate::coordination::{diragr::agree_direction, leader::elect_leader};
         use crate::fault::{FaultParams, FaultPlan};
-        let (config, ids) = network(Model::Basic);
-        // One network runs the analytic engine without any plan; the other
-        // carries an empty fault plan, which promotes it to the event-driven
-        // reference executor. The runs must agree round for round.
-        let mut analytic = Network::new(&config, ids.clone(), Model::Basic).unwrap();
-        let mut event = Network::new(&config, ids, Model::Basic)
-            .unwrap()
-            .with_faults(FaultPlan::new(FaultParams::default(), 6, 3));
-        assert!(!event.faults().unwrap().any_faults());
-        let mut bufs_a = StepBuffers::new();
-        let mut bufs_e = StepBuffers::new();
-        for round in 0..8 {
-            let dirs: Vec<LocalDirection> = (0..6)
-                .map(|i| {
-                    if (i + round) % 3 == 0 {
-                        LocalDirection::Left
-                    } else {
-                        LocalDirection::Right
+        use ring_combinat::shared::splitmix64;
+
+        let kinds = [
+            FaultParams::default(),
+            FaultParams {
+                drop_per_mille: 200,
+                ..FaultParams::default()
+            },
+            FaultParams {
+                crashes: 2,
+                ..FaultParams::default()
+            },
+            FaultParams {
+                churn: 3,
+                ..FaultParams::default()
+            },
+            FaultParams {
+                adversarial: true,
+                ..FaultParams::default()
+            },
+        ];
+        for n in [5usize, 8, 17, 33, 64, 65] {
+            let seed = n as u64;
+            let config = RingConfig::builder(n)
+                .random_positions(seed)
+                .random_chirality(seed + 1)
+                .build()
+                .unwrap();
+            let ids = IdAssignment::random(n, 4 * n as u64, seed + 2);
+            for model in [Model::Basic, Model::Lazy, Model::Perceptive] {
+                for params in kinds {
+                    let pair = || {
+                        let plan = FaultPlan::new(params, n, seed + 3);
+                        let net = Network::new(&config, ids.clone(), model).unwrap();
+                        let event = net.clone().with_engine(EngineKind::Event);
+                        (net.with_faults(plan.clone()), event.with_faults(plan))
+                    };
+                    let (mut analytic, mut event) = pair();
+                    let (mut bufs_a, mut bufs_e) = (StepBuffers::new(), StepBuffers::new());
+                    let mut rng = seed;
+                    for round in 0..12 {
+                        let dirs: Vec<LocalDirection> = (0..n)
+                            .map(|_| {
+                                rng = splitmix64(rng);
+                                match rng % 3 {
+                                    0 if model.allows_idle() => LocalDirection::Idle,
+                                    0 | 1 => LocalDirection::Left,
+                                    _ => LocalDirection::Right,
+                                }
+                            })
+                            .collect();
+                        analytic.step_into(&dirs, &mut bufs_a).unwrap();
+                        event.step_into(&dirs, &mut bufs_e).unwrap();
+                        let at = format!("n = {n}, {model}, {params:?}, round {round}");
+                        assert_eq!(
+                            analytic.ground_truth_offset(),
+                            event.ground_truth_offset(),
+                            "{at}"
+                        );
+                        for (a, e) in bufs_a.observations().iter().zip(bufs_e.observations()) {
+                            assert_eq!(a.dist, e.dist, "{at}");
+                            match (a.coll, e.coll) {
+                                (None, None) => {}
+                                (Some(a), Some(e)) => {
+                                    assert!(a.ticks().abs_diff(e.ticks()) <= 2, "{at}")
+                                }
+                                (a, e) => panic!("{at}: collision {a:?} vs event {e:?}"),
+                            }
+                        }
                     }
-                })
-                .collect();
-            analytic.step_into(&dirs, &mut bufs_a).unwrap();
-            event.step_into(&dirs, &mut bufs_e).unwrap();
-            assert_eq!(bufs_a.observations(), bufs_e.observations());
-            assert_eq!(analytic.ground_truth_offset(), event.ground_truth_offset());
+
+                    let (mut analytic, mut event) = pair();
+                    let leaders = |net: &mut Network<'_>| {
+                        elect_leader(net).map(|e| (e.leader_flags().to_vec(), e.rounds()))
+                    };
+                    let at = format!("n = {n}, {model}, {params:?}");
+                    assert_eq!(leaders(&mut analytic), leaders(&mut event), "{at}");
+                    let (mut analytic, mut event) = pair();
+                    let frames = |net: &mut Network<'_>| {
+                        agree_direction(net).map(|a| (a.frames().to_vec(), a.rounds()))
+                    };
+                    assert_eq!(frames(&mut analytic), frames(&mut event), "{at}");
+                }
+            }
         }
     }
 

@@ -2,9 +2,10 @@
 //!
 //! The experiment harness regenerates Tables I and II of the paper by
 //! measuring, for many configurations, how many rounds each coordination
-//! problem takes in each setting. [`measure_problem`] solves one problem on
-//! a fresh executor and reports the cost; [`run_pipeline`] does so for all
-//! four problems of Table I.
+//! problem takes in each setting. [`measure_problem_seeded`] solves one
+//! problem on a fresh executor and reports the cost;
+//! [`measure_problem_faulty`] does so under a fault plan and a round cap;
+//! [`run_pipeline`] measures all four problems of Table I.
 //!
 //! Every protocol driver — leader election, direction agreement, the
 //! nontrivial-move routes, the probe layer, the basic/lazy location sweeps
@@ -16,7 +17,7 @@
 
 use crate::coordination::diragr::agree_direction;
 use crate::coordination::leader::elect_leader;
-use crate::coordination::nontrivial::solve_nontrivial_move;
+use crate::coordination::nontrivial::{solve_nontrivial_move, STRUCTURE_SEED};
 use crate::error::ProtocolError;
 use crate::exec::Network;
 use crate::fault::{FaultParams, FaultPlan};
@@ -99,54 +100,17 @@ impl PipelineReport {
 }
 
 /// Solves `problem` from scratch on a fresh executor over `config`/`ids` in
-/// `model`, verifying the result against the ground truth.
+/// `model`, verifying the result against the ground truth. The executor
+/// obtains its distinguishers through `structures` (so a sweep harness can
+/// hand every case the same shared cache) and draws them under
+/// `structure_seed`, which is how seed-diverse sweeps measure the spread
+/// over structure randomness.
 ///
 /// # Errors
 ///
 /// Propagates protocol errors other than the expected
 /// [`ProtocolError::Unsolvable`] for location discovery in the basic model
 /// with even `n` (which is reported as `solvable: false`).
-pub fn measure_problem(
-    config: &RingConfig,
-    ids: &IdAssignment,
-    model: Model,
-    problem: Problem,
-) -> Result<ProblemCost, ProtocolError> {
-    measure_problem_with(config, ids, model, problem, &fresh_structures())
-}
-
-/// [`measure_problem`] with an explicit combinatorial-structure provider:
-/// the executor obtains its distinguishers through `structures`, so a sweep
-/// harness can hand every case the same shared cache.
-///
-/// # Errors
-///
-/// Same as [`measure_problem`].
-pub fn measure_problem_with(
-    config: &RingConfig,
-    ids: &IdAssignment,
-    model: Model,
-    problem: Problem,
-    structures: &SharedStructures,
-) -> Result<ProblemCost, ProtocolError> {
-    measure_problem_seeded(
-        config,
-        ids,
-        model,
-        problem,
-        structures,
-        crate::coordination::nontrivial::STRUCTURE_SEED,
-    )
-}
-
-/// [`measure_problem_with`] with an explicit structure seed: the executor's
-/// distinguisher machinery draws its structures under `structure_seed`
-/// instead of the fixed default, which is how seed-diverse sweeps measure
-/// the spread over structure randomness.
-///
-/// # Errors
-///
-/// Same as [`measure_problem`].
 pub fn measure_problem_seeded(
     config: &RingConfig,
     ids: &IdAssignment,
@@ -158,57 +122,50 @@ pub fn measure_problem_seeded(
     let mut net = Network::new(config, ids.clone(), model)?
         .with_structures(structures.clone())
         .with_structure_seed(structure_seed);
-    match problem {
+    solve_and_verify(&mut net, problem)
+}
+
+/// Solves `problem` on `net` and verifies the result against the ground
+/// truth; an unsolvable location discovery is `solvable: false`.
+fn solve_and_verify(net: &mut Network<'_>, problem: Problem) -> Result<ProblemCost, ProtocolError> {
+    let (rounds, verified) = match problem {
         Problem::LeaderElection => {
-            let election = elect_leader(&mut net)?;
-            let verified = election.leaders().count() == 1;
-            Ok(ProblemCost {
-                problem,
-                solvable: true,
-                rounds: Some(election.rounds()),
-                verified,
-            })
+            let election = elect_leader(net)?;
+            (election.rounds(), election.leaders().count() == 1)
         }
         Problem::NontrivialMove => {
-            let nm = solve_nontrivial_move(&mut net)?;
-            let verified = crate::coordination::nontrivial::verify_nontrivial(&mut net, &nm);
-            Ok(ProblemCost {
-                problem,
-                solvable: true,
-                rounds: Some(nm.rounds()),
-                verified,
-            })
+            let nm = solve_nontrivial_move(net)?;
+            let verified = crate::coordination::nontrivial::verify_nontrivial(net, &nm);
+            (nm.rounds(), verified)
         }
         Problem::DirectionAgreement => {
-            let agreement = agree_direction(&mut net)?;
+            let agreement = agree_direction(net)?;
             let verified =
-                crate::coordination::diragr::frames_are_coherent(&net, agreement.frames());
-            Ok(ProblemCost {
-                problem,
-                solvable: true,
-                rounds: Some(agreement.rounds()),
-                verified,
-            })
+                crate::coordination::diragr::frames_are_coherent(net, agreement.frames());
+            (agreement.rounds(), verified)
         }
-        Problem::LocationDiscovery => match discover_locations(&mut net) {
-            Ok(discovery) => {
-                let verified = verify_location_discovery(&net, &discovery);
-                Ok(ProblemCost {
+        Problem::LocationDiscovery => match discover_locations(net) {
+            Ok(discovery) => (
+                discovery.rounds(),
+                verify_location_discovery(net, &discovery),
+            ),
+            Err(ProtocolError::Unsolvable { .. }) => {
+                return Ok(ProblemCost {
                     problem,
-                    solvable: true,
-                    rounds: Some(discovery.rounds()),
-                    verified,
+                    solvable: false,
+                    rounds: None,
+                    verified: true,
                 })
             }
-            Err(ProtocolError::Unsolvable { .. }) => Ok(ProblemCost {
-                problem,
-                solvable: false,
-                rounds: None,
-                verified: true,
-            }),
-            Err(e) => Err(e),
+            Err(e) => return Err(e),
         },
-    }
+    };
+    Ok(ProblemCost {
+        problem,
+        solvable: true,
+        rounds: Some(rounds),
+        verified,
+    })
 }
 
 /// How one faulty protocol run ended.
@@ -236,14 +193,14 @@ pub struct FaultyCost {
 }
 
 /// Solves `problem` on a fresh executor under the deterministic fault plan
-/// derived from `(params, n, fault_seed)`, with the event-driven reference
-/// engine and a hard round cap of `round_limit`.
+/// derived from `(params, n, fault_seed)`, with a hard round cap of
+/// `round_limit`.
 ///
 /// Unlike [`measure_problem_seeded`] this never propagates protocol
 /// errors: under faults, failure is a measurement result. A run that hits
 /// the round cap reports [`FaultyOutcome::TimedOut`]; any other protocol
-/// error — or a result that fails ground-truth verification — reports
-/// [`FaultyOutcome::Failed`].
+/// error — or a result that is unsolvable or fails ground-truth
+/// verification — reports [`FaultyOutcome::Failed`].
 #[allow(clippy::too_many_arguments)]
 pub fn measure_problem_faulty(
     config: &RingConfig,
@@ -256,91 +213,46 @@ pub fn measure_problem_faulty(
     fault_seed: u64,
     round_limit: u64,
 ) -> FaultyCost {
-    let net = match Network::new(config, ids.clone(), model) {
-        Ok(net) => net
+    let result = Network::new(config, ids.clone(), model).and_then(|net| {
+        let mut net = net
             .with_structures(structures.clone())
             .with_structure_seed(structure_seed)
             .with_faults(FaultPlan::new(params, config.len(), fault_seed))
-            .with_round_limit(round_limit),
-        Err(_) => {
-            return FaultyCost {
-                problem,
-                outcome: FaultyOutcome::Failed,
-                rounds: None,
-            }
-        }
+            .with_round_limit(round_limit);
+        solve_and_verify(&mut net, problem)
+    });
+    let (outcome, rounds) = match result {
+        Ok(ProblemCost {
+            solvable: true,
+            verified: true,
+            rounds,
+            ..
+        }) => (FaultyOutcome::Completed, rounds),
+        Err(ProtocolError::RoundLimitReached { .. }) => (FaultyOutcome::TimedOut, None),
+        Ok(_) | Err(_) => (FaultyOutcome::Failed, None),
     };
-    let mut net = net;
-    let result: Result<(u64, bool), ProtocolError> = match problem {
-        Problem::LeaderElection => elect_leader(&mut net)
-            .map(|election| (election.rounds(), election.leaders().count() == 1)),
-        Problem::NontrivialMove => solve_nontrivial_move(&mut net).map(|nm| {
-            let verified = crate::coordination::nontrivial::verify_nontrivial(&mut net, &nm);
-            (nm.rounds(), verified)
-        }),
-        Problem::DirectionAgreement => agree_direction(&mut net).map(|agreement| {
-            let verified =
-                crate::coordination::diragr::frames_are_coherent(&net, agreement.frames());
-            (agreement.rounds(), verified)
-        }),
-        Problem::LocationDiscovery => discover_locations(&mut net).map(|discovery| {
-            (
-                discovery.rounds(),
-                verify_location_discovery(&net, &discovery),
-            )
-        }),
-    };
-    match result {
-        Ok((rounds, true)) => FaultyCost {
-            problem,
-            outcome: FaultyOutcome::Completed,
-            rounds: Some(rounds),
-        },
-        Ok((_, false)) => FaultyCost {
-            problem,
-            outcome: FaultyOutcome::Failed,
-            rounds: None,
-        },
-        Err(ProtocolError::RoundLimitReached { .. }) => FaultyCost {
-            problem,
-            outcome: FaultyOutcome::TimedOut,
-            rounds: None,
-        },
-        Err(_) => FaultyCost {
-            problem,
-            outcome: FaultyOutcome::Failed,
-            rounds: None,
-        },
+    FaultyCost {
+        problem,
+        outcome,
+        rounds,
     }
 }
 
-/// Measures all four problems of Table I on one configuration.
+/// Measures all four problems of Table I on one configuration, with fresh
+/// structures under the default structure seed.
 ///
 /// # Errors
 ///
-/// Propagates errors from [`measure_problem`].
+/// Propagates errors from [`measure_problem_seeded`].
 pub fn run_pipeline(
     config: &RingConfig,
     ids: &IdAssignment,
     model: Model,
 ) -> Result<PipelineReport, ProtocolError> {
-    run_pipeline_with(config, ids, model, &fresh_structures())
-}
-
-/// [`run_pipeline`] with an explicit combinatorial-structure provider.
-///
-/// # Errors
-///
-/// Propagates errors from [`measure_problem_with`].
-pub fn run_pipeline_with(
-    config: &RingConfig,
-    ids: &IdAssignment,
-    model: Model,
-    structures: &SharedStructures,
-) -> Result<PipelineReport, ProtocolError> {
+    let structures = fresh_structures();
     let costs = Problem::ALL
         .iter()
-        .map(|&p| measure_problem_with(config, ids, model, p, structures))
+        .map(|&p| measure_problem_seeded(config, ids, model, p, &structures, STRUCTURE_SEED))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(PipelineReport {
         model,
@@ -406,22 +318,28 @@ mod tests {
             Problem::NontrivialMove,
             Problem::DirectionAgreement,
         ] {
-            let clean =
-                measure_problem_with(&config, &ids, Model::Basic, problem, &structures).unwrap();
+            let clean = measure_problem_seeded(
+                &config,
+                &ids,
+                Model::Basic,
+                problem,
+                &structures,
+                STRUCTURE_SEED,
+            )
+            .unwrap();
             let faulty = measure_problem_faulty(
                 &config,
                 &ids,
                 Model::Basic,
                 problem,
                 &structures,
-                crate::coordination::nontrivial::STRUCTURE_SEED,
+                STRUCTURE_SEED,
                 FaultParams::default(),
                 123,
                 20_000,
             );
             assert_eq!(faulty.outcome, FaultyOutcome::Completed, "{problem}");
-            // The event-driven reference executor agrees with the analytic
-            // path on fault-free plans: identical round counts.
+            // A fault-free plan changes nothing: identical round counts.
             assert_eq!(faulty.rounds, clean.rounds, "{problem}");
         }
     }
@@ -440,7 +358,7 @@ mod tests {
             Model::Basic,
             Problem::LeaderElection,
             &fresh_structures(),
-            crate::coordination::nontrivial::STRUCTURE_SEED,
+            STRUCTURE_SEED,
             FaultParams {
                 drop_per_mille: 1000,
                 ..FaultParams::default()

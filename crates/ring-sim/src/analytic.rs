@@ -24,12 +24,11 @@
 //! observation pass of [`crate::state::RingState`]) read two contiguous
 //! segments.
 //!
-//! First collisions are only defined here for rounds in which **every**
-//! agent moves (the basic and perceptive models); for rounds containing idle
-//! agents the analytic engine reports `None` for every agent and the
-//! event-driven engine ([`crate::events`]) can be consulted instead. This is
-//! sufficient for the paper's algorithms because `coll()` is only available
-//! in the perceptive model, which does not allow idling.
+//! Rounds with idle agents — the lazy model, and every model under faults,
+//! which force suppressed moves idle — get their first collisions from a
+//! second pair of sweeps that also carries the nearest idle agent ahead of
+//! each mover; rounds in which everybody moves keep the Proposition 4
+//! sweeps above.
 
 use crate::direction::ObjectiveDirection;
 use crate::geometry::{ArcLength, Point, CIRCUMFERENCE};
@@ -44,8 +43,7 @@ pub struct AnalyticRound {
     /// and end position (zero iff the rotation index is zero).
     pub cw_displacement: Vec<ArcLength>,
     /// For each *agent*, the distance travelled until its first collision,
-    /// or `None` if the agent never collides (or the round contains idle
-    /// agents, for which the analytic engine does not model collisions).
+    /// or `None` if the agent never collides.
     pub first_collision: Vec<Option<ArcLength>>,
     /// The rotation offset after the round: agent `a` ends at slot
     /// `(a + offset) mod n`.
@@ -156,18 +154,22 @@ impl AnalyticEngine {
         disp.extend(pos_pairs(&positions[n - r..], &positions[..r]));
 
         scratch.first_collision.clear();
-        if n_c + n_a == n && n_c > 0 && n_a > 0 {
+        let all_moving = n_c + n_a == n;
+        if n_c + n_a == 0 || (all_moving && (n_c == 0 || n_a == 0)) {
+            // Nobody moves, or everybody moves the same way: no collisions.
+            scratch.first_collision.resize(n, None);
+        } else {
             // Slot order: agents `n − o..n` sit at slots `0..o`, agents
             // `0..n − o` at slots `o..n`.
             let dir = &mut scratch.dir_by_slot;
             dir.clear();
             dir.extend_from_slice(&directions[n - offset..]);
             dir.extend_from_slice(&directions[..n - offset]);
-            first_collisions(positions, dir, &mut scratch.first_collision);
-        } else {
-            // Everybody moves the same way (no collisions at all), or some
-            // agents idle (collisions not modelled analytically).
-            scratch.first_collision.resize(n, None);
+            if all_moving {
+                first_collisions(positions, dir, &mut scratch.first_collision);
+            } else {
+                first_collisions_with_idle(positions, dir, &mut scratch.first_collision);
+            }
         }
         rotation
     }
@@ -222,6 +224,58 @@ fn first_collisions(
         let from_behind = Some(cw_arc(behind, here).half());
         *coll = if acw { from_behind } else { *coll };
         behind = if acw { behind } else { here };
+    }
+}
+
+/// Every slot's first-collision distance in a round with idle agents and
+/// movers. Exchanging velocities looks the same as passing through, so
+/// until its first collision each agent follows its own straight-line
+/// "ghost" and collides when another ghost reaches it. A clockwise mover
+/// meets the nearest anticlockwise mover ahead after half their arc and the
+/// nearest idle agent ahead after the full arc, whichever comes first;
+/// anticlockwise movers are the mirror image; an idle agent is hit before
+/// it has moved at all.
+///
+/// Two cyclic linear sweeps, each carrying the nearest opposite mover and
+/// the nearest idle agent in the direction of travel, started from the ones
+/// that wrap around the slot-0 boundary.
+fn first_collisions_with_idle(
+    positions: &[Point],
+    dir: &[ObjectiveDirection],
+    out: &mut Vec<Option<ArcLength>>,
+) {
+    use ObjectiveDirection::{Anticlockwise, Clockwise, Idle};
+
+    let first = |wanted| dir.iter().position(|&d| d == wanted).map(|s| positions[s]);
+    let last = |wanted| dir.iter().rposition(|&d| d == wanted).map(|s| positions[s]);
+    let (Some(first_idle), Some(last_idle)) = (first(Idle), last(Idle)) else {
+        unreachable!("idle round has an idle agent");
+    };
+
+    out.resize(positions.len(), Some(ArcLength::ZERO));
+    let (mut acw_ahead, mut idle_ahead) = (first(Anticlockwise), first_idle);
+    for ((coll, &here), &d) in out.iter_mut().zip(positions).zip(dir).rev() {
+        match d {
+            Clockwise => {
+                let to_idle = cw_arc(here, idle_ahead);
+                *coll = Some(acw_ahead.map_or(to_idle, |p| to_idle.min(cw_arc(here, p).half())));
+            }
+            Anticlockwise => acw_ahead = Some(here),
+            Idle => idle_ahead = here,
+        }
+    }
+
+    let (mut cw_behind, mut idle_behind) = (last(Clockwise), last_idle);
+    for ((coll, &here), &d) in out.iter_mut().zip(positions).zip(dir) {
+        match d {
+            Anticlockwise => {
+                let from_idle = cw_arc(idle_behind, here);
+                *coll =
+                    Some(cw_behind.map_or(from_idle, |p| from_idle.min(cw_arc(p, here).half())));
+            }
+            Clockwise => cw_behind = Some(here),
+            Idle => idle_behind = here,
+        }
     }
 }
 
@@ -288,13 +342,39 @@ mod tests {
     }
 
     #[test]
-    fn idle_rounds_have_no_analytic_collisions_but_correct_rotation() {
+    fn idle_rounds_collide_with_the_nearest_idle_or_opposite_ghost() {
         let config = config_with_positions(&[0, 100, 220, 400, 900]);
-        let dirs = [C, I, I, I, I];
-        let round = AnalyticEngine::new().execute(config.positions(), 0, &dirs);
+        let round = AnalyticEngine::new().execute(config.positions(), 0, &[C, I, I, I, I]);
         assert_eq!(round.rotation.shift, 1);
-        assert!(round.first_collision.iter().all(|c| c.is_none()));
         assert_eq!(round.offset, 1);
+        // The lone mover reaches the idle agent at tick 100 after the full
+        // gap; every idle agent is hit before it has moved.
+        assert_eq!(round.first_collision[0].unwrap().ticks(), 100);
+        assert!(round.first_collision[1..]
+            .iter()
+            .all(|&c| c == Some(ArcLength::ZERO)));
+
+        // Agent 0 (tick 0) moves clockwise towards idle agent 1 (tick 100,
+        // full arc 100) and anticlockwise agent 2 (tick 220, half arc 110):
+        // the idle agent is nearer. Agent 2 meets agent 0's ghost after
+        // 110, before it reaches idle agent 1 (120). Agent 3 (tick 400)
+        // moves clockwise with no anticlockwise mover ahead but agent 2
+        // (wrapping), half arc (220 + C − 400) / 2, against idle agent 4 at
+        // full arc 500. Agent 4 is idle.
+        let round = AnalyticEngine::new().execute(config.positions(), 0, &[C, I, A, C, I]);
+        assert_eq!(round.first_collision[0].unwrap().ticks(), 100);
+        assert_eq!(round.first_collision[1], Some(ArcLength::ZERO));
+        assert_eq!(round.first_collision[2].unwrap().ticks(), 110);
+        assert_eq!(round.first_collision[3].unwrap().ticks(), 500);
+        assert_eq!(round.first_collision[4], Some(ArcLength::ZERO));
+    }
+
+    #[test]
+    fn all_idle_rounds_have_no_collisions() {
+        let config = config_with_positions(&[0, 100, 220, 400, 900]);
+        let round = AnalyticEngine::new().execute(config.positions(), 2, &[I; 5]);
+        assert!(round.rotation.is_zero());
+        assert!(round.first_collision.iter().all(|c| c.is_none()));
     }
 
     #[test]

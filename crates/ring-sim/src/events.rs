@@ -7,12 +7,11 @@
 //! transfer onto an idle agent).
 //!
 //! The event engine is slower (`O(n)` work per event, up to `O(n²)` events
-//! per round) and approximate (`f64`), so the protocol executor uses the
-//! exact [`crate::analytic::AnalyticEngine`] on clean rings; the event
-//! engine serves as the ground truth that the analytic shortcuts are
-//! validated against, as the *reference executor for faulty runs* (which
-//! exercise territory the analytic shortcuts were never validated on), and
-//! as a tool for visualising full trajectories. Multi-round drivers reuse
+//! per round) and approximate (`f64`), so the protocol executor runs every
+//! round — clean or faulty — on the exact
+//! [`crate::analytic::AnalyticEngine`]. The event engine is the ground
+//! truth the analytic shortcuts are tested against, idle rounds included,
+//! and a tool for visualising full trajectories. Multi-round drivers reuse
 //! one [`EventScratch`] across rounds via [`EventEngine::simulate_into`]
 //! instead of paying the eight-vector allocation of
 //! [`EventEngine::simulate`] per round.
@@ -63,11 +62,10 @@ impl Default for EventEngine {
 
 /// Reusable scratch arena for [`EventEngine::simulate_into`].
 ///
-/// The event engine used to allocate eight vectors per simulated round;
-/// now that it is the reference executor for faulty runs (which execute
-/// every round through it), multi-round drivers hold one `EventScratch`
-/// and reuse it — after the vectors reach the ring size, a round performs
-/// no heap allocation beyond growth of the collision log.
+/// Instead of allocating eight vectors per simulated round, multi-round
+/// drivers (engine-agreement tests, the round-cost probe) hold one
+/// `EventScratch` and reuse it — after the vectors reach the ring size, a
+/// round performs no heap allocation beyond growth of the collision log.
 #[derive(Clone, Debug, Default)]
 pub struct EventScratch {
     /// Final position (fraction of the circle) of each agent, valid after

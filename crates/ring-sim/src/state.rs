@@ -49,8 +49,8 @@ pub struct RoundOutcome {
 /// round, and reads the round's outputs from it between rounds; after the
 /// vectors have grown to the ring size once, round execution performs no
 /// heap allocation at all. Event-engine rounds route through a reusable
-/// [`EventScratch`] held here, so the faulty-path reference executor is
-/// covered by the same guarantee (modulo growth of its collision log).
+/// [`EventScratch`] held here, so the reference engine is covered by the
+/// same guarantee (modulo growth of its collision log).
 #[derive(Clone, Debug, Default)]
 pub struct RoundBuffers {
     /// Observation of each agent for the last executed round, in that
@@ -272,7 +272,7 @@ impl<'a> RingState<'a> {
             // The event engine is the reference: use it for collisions, but
             // keep the (exact) analytic displacement and offset, which the
             // property tests show it agrees with. The reusable scratch keeps
-            // the faulty-path reference executor allocation-free per round.
+            // reference rounds allocation-free.
             bufs.slots.clear();
             bufs.slots.extend((offset..n).chain(0..offset));
             EventEngine::new().simulate_into(

@@ -2,8 +2,8 @@
 //! reusable [`RoundBuffers`] arena, executing further rounds must perform
 //! **zero** heap allocations — through the analytic engine (the clean
 //! sweeps' hot path, also as driven by the protocol executor
-//! `Network::step_into`) and through the event engine (the reference
-//! executor the faulty sweeps lean on). A counting global allocator
+//! `Network::step_into`) and through the event engine (the reference the
+//! engine-agreement tests run). A counting global allocator
 //! measures an exact replay of the warm-up rounds against a fresh state,
 //! so any per-round allocation sneaking back into the engines fails the
 //! test deterministically.
