@@ -12,12 +12,21 @@
 //!   enforces the model's restrictions, and writes every agent's
 //!   [`Observation`] into a reusable [`StepBuffers`], again in the agent's
 //!   own frame, with collision information stripped unless the model is
-//!   perceptive.
+//!   perceptive;
+//! * [`Network::step_unobserved`] and [`Network::step_reversed`] (the
+//!   paper's `REVERSEDROUND`), which execute a round whose observations no
+//!   caller reads — the reversals that restore positions in neighbour
+//!   discovery, the collision link and `RingDist`, and `RingDist`'s undo
+//!   shifts. They apply the same checks and fault suppression as
+//!   `step_into`, but by Lemma 1 a round's effect on the ring is its
+//!   rotation index, a function of the mover counts alone, so they only
+//!   count movers and advance the rotation offset: no collision kernel
+//!   runs, and there is no buffer to hold a stale observation.
 //!
 //! Protocol implementations in this crate are written as lockstep drivers:
 //! the same local rule is evaluated for every agent using only that agent's
 //! state, and the chosen directions are submitted together through
-//! `step_into`.
+//! `step_into` (or one of the unobserved variants).
 //! Tests validate the outputs against the ground truth, which remains
 //! accessible through the `ground_truth_*` methods (never used by protocol
 //! logic).
@@ -35,8 +44,11 @@ use std::fmt;
 /// Reusable buffers for the zero-alloc round interface
 /// ([`Network::step_into`], [`Network::run_schedule`]).
 ///
-/// Create one per protocol run and thread it through every round: after the
-/// vectors reach the ring size, no round allocates.
+/// Create one per protocol run and thread it through every observed round:
+/// after the vectors reach the ring size, no round allocates. Unobserved
+/// rounds ([`Network::step_unobserved`], [`Network::step_reversed`]) take
+/// no buffers, so the observations held here are always those of the last
+/// observed round run through them.
 #[derive(Clone, Debug, Default)]
 pub struct StepBuffers {
     round: RoundBuffers,
@@ -65,7 +77,6 @@ pub struct Network<'a> {
     engine: EngineKind,
     rounds: u64,
     last_rotation: Option<RotationIndex>,
-    cumulative_dist: Vec<u64>,
     structures: SharedStructures,
     structure_seed: u64,
     faults: Option<FaultPlan>,
@@ -109,7 +120,6 @@ impl<'a> Network<'a> {
             });
         }
         Ok(Network {
-            cumulative_dist: vec![0; config.len()],
             ring: RingState::new(config),
             ids,
             model,
@@ -259,31 +269,7 @@ impl<'a> Network<'a> {
         directions: &[LocalDirection],
         bufs: &mut StepBuffers,
     ) -> Result<(), ProtocolError> {
-        if directions.len() != self.ring.len() {
-            return Err(ProtocolError::LengthMismatch {
-                what: "directions",
-                got: directions.len(),
-                expected: self.ring.len(),
-            });
-        }
-        // A branch-free scan (it vectorises, unlike an early-exit search)
-        // decides whether anybody idles; only the error path asks who.
-        if !self.model.allows_idle()
-            && directions
-                .iter()
-                .fold(false, |idle, d| idle | !d.is_moving())
-        {
-            let agent = directions.iter().position(|d| !d.is_moving());
-            return Err(ProtocolError::IdleForbidden {
-                agent: agent.expect("an idle agent"),
-                model: self.model,
-            });
-        }
-        if let Some(limit) = self.round_limit {
-            if self.rounds >= limit {
-                return Err(ProtocolError::RoundLimitReached { limit });
-            }
-        }
+        self.check_round(directions)?;
         // Fault injection happens below the model check: a suppressed move
         // is a physical failure, not a protocol choice, so forcing idle here
         // is legal even in models that forbid idling.
@@ -311,18 +297,6 @@ impl<'a> Network<'a> {
         };
         self.rounds += 1;
         self.last_rotation = Some(rotation);
-        // Two branch-free linear passes instead of one loop with a
-        // per-agent conditional: the cumulative-distance update is a pure
-        // add-mod streamed over two contiguous slices (vectorisable), and
-        // collision stripping — when the model is blind to collisions —
-        // becomes its own unconditional fill.
-        for (acc, obs) in self
-            .cumulative_dist
-            .iter_mut()
-            .zip(&bufs.round.observations)
-        {
-            *acc = (*acc + obs.dist.ticks()) % ring_sim::CIRCUMFERENCE;
-        }
         if !self.model.observes_collisions() {
             for obs in &mut bufs.round.observations {
                 obs.coll = None;
@@ -331,26 +305,86 @@ impl<'a> Network<'a> {
         Ok(())
     }
 
-    /// Executes one round in which every agent moves opposite to
-    /// `directions` (the paper's `REVERSEDROUND`), restoring the positions
-    /// reached before the matching [`Network::step_into`]. The reversed
-    /// directions are built in the buffer set's direction scratch, so the
-    /// round allocates nothing once the buffers are warm.
+    /// Executes one round whose observations no caller reads. The checks,
+    /// the round limit and fault suppression are those of
+    /// [`Network::step_into`], and the ring ends in the same state, but the
+    /// round only counts movers and advances the rotation offset (see the
+    /// module docs).
     ///
     /// # Errors
     ///
     /// Same as [`Network::step_into`].
-    pub fn step_reversed_into(
+    pub fn step_unobserved(&mut self, directions: &[LocalDirection]) -> Result<(), ProtocolError> {
+        self.advance_unobserved(directions, false)
+    }
+
+    /// Executes one unobserved round in which every agent moves opposite to
+    /// `directions` (the paper's `REVERSEDROUND`), restoring the positions
+    /// reached before the matching [`Network::step_into`] when no move of
+    /// either round was suppressed. Nothing is materialised: the reversal
+    /// is applied while movers are counted.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Network::step_into`].
+    pub fn step_reversed(&mut self, directions: &[LocalDirection]) -> Result<(), ProtocolError> {
+        self.advance_unobserved(directions, true)
+    }
+
+    /// Core of the unobserved rounds: suppression, then reversal, applied
+    /// per agent while the ring counts movers.
+    fn advance_unobserved(
         &mut self,
         directions: &[LocalDirection],
-        bufs: &mut StepBuffers,
+        reversed: bool,
     ) -> Result<(), ProtocolError> {
-        let mut reversed = std::mem::take(&mut bufs.directions);
-        reversed.clear();
-        reversed.extend(directions.iter().map(|d| d.opposite()));
-        let result = self.step_into(&reversed, bufs);
-        bufs.directions = reversed;
-        result
+        self.check_round(directions)?;
+        let round = self.rounds;
+        let plan = self.faults.as_ref().filter(|plan| plan.any_faults());
+        let effective = directions.iter().enumerate().map(|(agent, &dir)| {
+            if plan.is_some_and(|plan| plan.suppressed(round, agent)) {
+                LocalDirection::Idle
+            } else if reversed {
+                dir.opposite()
+            } else {
+                dir
+            }
+        });
+        let rotation = self.ring.advance_unobserved(effective)?;
+        self.rounds += 1;
+        self.last_rotation = Some(rotation);
+        Ok(())
+    }
+
+    /// The checks every round passes before it executes: the direction
+    /// count, the model's idle rule and the round limit.
+    fn check_round(&self, directions: &[LocalDirection]) -> Result<(), ProtocolError> {
+        if directions.len() != self.ring.len() {
+            return Err(ProtocolError::LengthMismatch {
+                what: "directions",
+                got: directions.len(),
+                expected: self.ring.len(),
+            });
+        }
+        // A branch-free scan (it vectorises, unlike an early-exit search)
+        // decides whether anybody idles; only the error path asks who.
+        if !self.model.allows_idle()
+            && directions
+                .iter()
+                .fold(false, |idle, d| idle | !d.is_moving())
+        {
+            let agent = directions.iter().position(|d| !d.is_moving());
+            return Err(ProtocolError::IdleForbidden {
+                agent: agent.expect("an idle agent"),
+                model: self.model,
+            });
+        }
+        if let Some(limit) = self.round_limit {
+            if self.rounds >= limit {
+                return Err(ProtocolError::RoundLimitReached { limit });
+            }
+        }
+        Ok(())
     }
 
     /// Executes a whole direction schedule — one synchronized round per
@@ -402,15 +436,20 @@ impl<'a> Network<'a> {
         Ok(hit)
     }
 
-    /// The sum (modulo the circumference) of all `dist()` observations the
-    /// agent has made so far, i.e. the agent's displacement from its initial
-    /// position measured in its own clockwise direction.
+    /// The sum (modulo the circumference) of the `dist()` of every round
+    /// the agent has taken part in, i.e. the agent's displacement from its
+    /// initial position measured in its own clockwise direction.
     ///
     /// This is information the agent could trivially maintain itself by
-    /// summing its observations; it is tracked centrally purely for
-    /// convenience and is legitimate agent-local knowledge.
+    /// summing its observations, so it is legitimate agent-local knowledge.
+    /// It is not summed, though: each round's `dist` is the own-frame arc
+    /// from the round's start to its end position, so the sum telescopes to
+    /// the own-frame arc from the agent's initial to its current position,
+    /// which the rotation offset gives directly. That keeps observed rounds
+    /// free of a bookkeeping pass and lets unobserved rounds, which produce
+    /// no `dist` at all, count towards it too.
     pub fn observed_cumulative_dist(&self, agent: usize) -> ring_sim::ArcLength {
-        ring_sim::ArcLength::from_ticks(self.cumulative_dist[agent])
+        self.ring.own_displacement(agent)
     }
 
     // ------------------------------------------------------------------
@@ -513,7 +552,7 @@ mod tests {
         let mut bufs = StepBuffers::new();
         let dirs = vec![LocalDirection::Right; 6];
         net.step_into(&dirs, &mut bufs).unwrap();
-        net.step_reversed_into(&dirs, &mut bufs).unwrap();
+        net.step_reversed(&dirs).unwrap();
         assert_eq!(net.rounds_used(), 2);
         assert!(net.ground_truth_at_initial_positions());
     }
@@ -784,6 +823,211 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A reproducible round for the proptests: every agent goes left or
+    /// right, or idles where the model allows it.
+    fn random_round(rng: &mut u64, n: usize, model: Model) -> Vec<LocalDirection> {
+        use ring_combinat::shared::splitmix64;
+        (0..n)
+            .map(|_| {
+                *rng = splitmix64(*rng);
+                match *rng % 3 {
+                    0 if model.allows_idle() => LocalDirection::Idle,
+                    0 | 1 => LocalDirection::Left,
+                    _ => LocalDirection::Right,
+                }
+            })
+            .collect()
+    }
+
+    /// One network per proptest case: random positions and chirality, a
+    /// fault plan of the given kind (none, drops, crashes, churn,
+    /// adversarial, all at once) and either engine.
+    fn proptest_network(
+        config: &RingConfig,
+        model: usize,
+        fault_kind: u64,
+        seed: u64,
+        event: bool,
+    ) -> Network<'_> {
+        use crate::fault::{FaultParams, FaultPlan};
+        let n = config.len();
+        let params = match fault_kind {
+            0 => FaultParams::default(),
+            1 => FaultParams {
+                drop_per_mille: 100 + seed % 600,
+                ..FaultParams::default()
+            },
+            2 => FaultParams {
+                crashes: 1 + seed % 3,
+                ..FaultParams::default()
+            },
+            3 => FaultParams {
+                churn: 1 + seed % 4,
+                ..FaultParams::default()
+            },
+            4 => FaultParams {
+                adversarial: true,
+                ..FaultParams::default()
+            },
+            _ => FaultParams {
+                drop_per_mille: 200,
+                crashes: 2,
+                churn: 2,
+                adversarial: true,
+            },
+        };
+        let model = [Model::Basic, Model::Lazy, Model::Perceptive][model];
+        let engine = if event {
+            EngineKind::Event
+        } else {
+            EngineKind::Analytic
+        };
+        Network::new(config, IdAssignment::random(n, 4 * n as u64, seed), model)
+            .unwrap()
+            .with_engine(engine)
+            .with_faults(FaultPlan::new(params, n, seed))
+    }
+
+    fn proptest_ring(n: usize, seed: u64) -> RingConfig {
+        RingConfig::builder(n)
+            .random_positions(seed)
+            .random_chirality(seed ^ 0x5a5a)
+            .build()
+            .unwrap()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Unobserved and reversed rounds leave the ring exactly where the
+        /// observed round with the same (respectively the reversed)
+        /// directions leaves it: offset, last rotation, round count and
+        /// every agent's cumulative `dist`, with idle agents, under every
+        /// fault kind and on both engines.
+        #[test]
+        fn unobserved_rounds_leave_the_ring_where_observed_rounds_do(
+            n in 5usize..=65,
+            model in 0usize..3,
+            fault_kind in 0u64..6,
+            seed in any::<u64>(),
+            event in any::<bool>(),
+        ) {
+            use ring_combinat::shared::splitmix64;
+            let config = proptest_ring(n, seed);
+            let mut observed = proptest_network(&config, model, fault_kind, seed, event);
+            let mut mixed = observed.clone();
+            let (mut bufs_o, mut bufs_m) = (StepBuffers::new(), StepBuffers::new());
+            let mut rng = seed;
+            for round in 0..16 {
+                let dirs = random_round(&mut rng, n, observed.model());
+                rng = splitmix64(rng);
+                match rng % 3 {
+                    0 => {
+                        observed.step_into(&dirs, &mut bufs_o).unwrap();
+                        mixed.step_into(&dirs, &mut bufs_m).unwrap();
+                        prop_assert_eq!(bufs_o.observations(), bufs_m.observations());
+                    }
+                    1 => {
+                        observed.step_into(&dirs, &mut bufs_o).unwrap();
+                        mixed.step_unobserved(&dirs).unwrap();
+                    }
+                    _ => {
+                        let reversed: Vec<_> = dirs.iter().map(|d| d.opposite()).collect();
+                        observed.step_into(&reversed, &mut bufs_o).unwrap();
+                        mixed.step_reversed(&dirs).unwrap();
+                    }
+                }
+                let at = format!("n = {n}, faults {fault_kind}, seed {seed}, round {round}");
+                prop_assert_eq!(observed.ground_truth_offset(), mixed.ground_truth_offset(), "{}", at);
+                prop_assert_eq!(
+                    observed.ground_truth_last_rotation(),
+                    mixed.ground_truth_last_rotation(),
+                    "{}",
+                    at
+                );
+                prop_assert_eq!(observed.rounds_used(), mixed.rounds_used(), "{}", at);
+                for agent in 0..n {
+                    prop_assert_eq!(
+                        observed.observed_cumulative_dist(agent),
+                        mixed.observed_cumulative_dist(agent),
+                        "{}, agent {}",
+                        at,
+                        agent
+                    );
+                }
+            }
+        }
+
+        /// The derived cumulative `dist` is what an agent summing its own
+        /// observations would hold.
+        #[test]
+        fn cumulative_dist_is_the_running_sum_of_observed_dist(
+            n in 5usize..=65,
+            model in 0usize..3,
+            fault_kind in 0u64..6,
+            seed in any::<u64>(),
+            event in any::<bool>(),
+        ) {
+            let config = proptest_ring(n, seed);
+            let mut net = proptest_network(&config, model, fault_kind, seed, event);
+            let mut bufs = StepBuffers::new();
+            let mut sums = vec![0u64; n];
+            let mut rng = seed;
+            for round in 0..16 {
+                let dirs = random_round(&mut rng, n, net.model());
+                net.step_into(&dirs, &mut bufs).unwrap();
+                for (agent, (sum, obs)) in sums.iter_mut().zip(bufs.observations()).enumerate() {
+                    *sum = (*sum + obs.dist.ticks()) % ring_sim::CIRCUMFERENCE;
+                    prop_assert_eq!(
+                        net.observed_cumulative_dist(agent).ticks(),
+                        *sum,
+                        "n = {}, faults {}, seed {}, round {}, agent {}",
+                        n,
+                        fault_kind,
+                        seed,
+                        round,
+                        agent
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unobserved_rounds_keep_every_check() {
+        let (config, ids) = network(Model::Basic);
+        let mut net = Network::new(&config, ids.clone(), Model::Basic)
+            .unwrap()
+            .with_round_limit(2);
+        assert!(matches!(
+            net.step_unobserved(&[LocalDirection::Right; 3]),
+            Err(ProtocolError::LengthMismatch { got: 3, .. })
+        ));
+        let mut dirs = vec![LocalDirection::Right; 6];
+        dirs[4] = LocalDirection::Idle;
+        assert!(matches!(
+            net.step_reversed(&dirs),
+            Err(ProtocolError::IdleForbidden { agent: 4, .. })
+        ));
+        dirs[4] = LocalDirection::Left;
+        net.step_unobserved(&dirs).unwrap();
+        net.step_reversed(&dirs).unwrap();
+        assert!(matches!(
+            net.step_unobserved(&dirs),
+            Err(ProtocolError::RoundLimitReached { limit: 2 })
+        ));
+        assert_eq!(net.rounds_used(), 2);
+        assert!(net.ground_truth_at_initial_positions());
+
+        // The lazy model may idle in unobserved rounds too.
+        let mut lazy = Network::new(&config, ids, Model::Lazy).unwrap();
+        dirs[4] = LocalDirection::Idle;
+        lazy.step_unobserved(&dirs).unwrap();
+        assert_eq!(lazy.rounds_used(), 1);
     }
 
     #[test]

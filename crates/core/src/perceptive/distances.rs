@@ -54,9 +54,15 @@ fn pivot_direction(label: usize, c: usize, n: usize) -> LocalDirection {
 
 /// For every label, the number of label-steps to the nearest agent ahead
 /// (clockwise) that moves anticlockwise, and to the nearest agent behind
-/// (anticlockwise) that moves clockwise — under the given per-label rule.
+/// (anticlockwise) that moves clockwise — under the given per-label rule;
+/// `n` when the agent itself is the only one, 0 when there is none.
 /// These determine which contiguous gap interval a first-collision
 /// observation spans (Proposition 4).
+///
+/// Two cyclic linear sweeps, as in the analytic kernel: the backward sweep
+/// carries the nearest anticlockwise mover ahead, the forward sweep the
+/// nearest clockwise mover behind, each started from the mover that wraps
+/// around the label-`n` boundary.
 fn collision_spans_into(
     rule: &dyn Fn(usize) -> LocalDirection,
     n: usize,
@@ -71,23 +77,27 @@ fn collision_spans_into(
     ahead.resize(n + 1, 0);
     behind.clear();
     behind.resize(n + 1, 0);
-    for label in 1..=n {
-        let mut d = 0;
-        for step in 1..=n {
-            if dirs[(label - 1 + step) % n] == LocalDirection::Left {
-                d = step;
-                break;
+    // Index `i` holds label `i + 1`. `next_left` is the index of the
+    // nearest left mover after `i`, counted on into the next lap.
+    if let Some(first_left) = dirs.iter().position(|&d| d == LocalDirection::Left) {
+        let mut next_left = first_left + n;
+        for (i, &d) in dirs.iter().enumerate().rev() {
+            ahead[i + 1] = next_left - i;
+            if d == LocalDirection::Left {
+                next_left = i;
             }
         }
-        ahead[label] = d;
-        let mut d = 0;
-        for step in 1..=n {
-            if dirs[(label + n - 1 - step) % n] == LocalDirection::Right {
-                d = step;
-                break;
+    }
+    // `prev_right` is the index of the nearest right mover before `i`,
+    // shifted up one lap so that it stays unsigned.
+    if let Some(last_right) = dirs.iter().rposition(|&d| d == LocalDirection::Right) {
+        let mut prev_right = last_right;
+        for (i, &d) in dirs.iter().enumerate() {
+            behind[i + 1] = i + n - prev_right;
+            if d == LocalDirection::Right {
+                prev_right = i + n;
             }
         }
-        behind[label] = d;
     }
 }
 
@@ -370,6 +380,86 @@ mod tests {
         assert_eq!(scratch.ahead[7], 3);
         // Label 2 moves left; label 1 (behind it) moves right: span 1.
         assert_eq!(scratch.behind[2], 1);
+    }
+
+    /// The per-label scan the sweeps replace: step forward (backward) from
+    /// each label until a left (right) mover.
+    fn scanned_spans(dirs: &[LocalDirection]) -> (Vec<usize>, Vec<usize>) {
+        let n = dirs.len();
+        let scan = |label: usize, wanted: LocalDirection, forward: bool| {
+            (1..=n)
+                .find(|&step| {
+                    let i = if forward {
+                        (label - 1 + step) % n
+                    } else {
+                        (label + n - 1 - step) % n
+                    };
+                    dirs[i] == wanted
+                })
+                .unwrap_or(0)
+        };
+        let ahead = (0..=n)
+            .map(|l| {
+                if l == 0 {
+                    0
+                } else {
+                    scan(l, LocalDirection::Left, true)
+                }
+            })
+            .collect();
+        let behind = (0..=n)
+            .map(|l| {
+                if l == 0 {
+                    0
+                } else {
+                    scan(l, LocalDirection::Right, false)
+                }
+            })
+            .collect();
+        (ahead, behind)
+    }
+
+    #[test]
+    fn collision_spans_match_the_per_label_scan() {
+        use ring_combinat::shared::splitmix64;
+        let mut scratch = MeasureScratch::default();
+        let mut check = |n: usize, rule: &dyn Fn(usize) -> LocalDirection, at: &str| {
+            collision_spans_into(rule, n, &mut scratch);
+            let dirs: Vec<LocalDirection> = (1..=n).map(rule).collect();
+            let (ahead, behind) = scanned_spans(&dirs);
+            assert_eq!(scratch.ahead, ahead, "{at}");
+            assert_eq!(scratch.behind, behind, "{at}");
+        };
+        let mut rng = 17u64;
+        for n in 5..=70usize {
+            for exception in (2..=n).step_by(2) {
+                let rule = move |label: usize| convolution_direction(label, exception);
+                check(
+                    n,
+                    &rule,
+                    &format!("convolution n = {n}, exception {exception}"),
+                );
+            }
+            for c in 1..=n {
+                let rule = move |label: usize| pivot_direction(label, c, n);
+                check(n, &rule, &format!("pivot n = {n}, anchor {c}"));
+            }
+            for trial in 0..8 {
+                rng = splitmix64(rng);
+                let bits = rng;
+                // Trials 0 and 1 move everybody the same way.
+                let rule = move |label: usize| match trial {
+                    0 => LocalDirection::Left,
+                    1 => LocalDirection::Right,
+                    _ => match (bits >> (label % 64)) % 3 {
+                        0 => LocalDirection::Idle,
+                        1 => LocalDirection::Left,
+                        _ => LocalDirection::Right,
+                    },
+                };
+                check(n, &rule, &format!("arbitrary n = {n}, trial {trial}"));
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! positions), and decodes each neighbour's bit from whether its first
 //! collision on that side happened at exactly half the known gap.
 //!
+//! A bit exchange costs 4 rounds: two information rounds, each followed by
+//! its reversal. Only the information rounds are observed; the reversals
+//! run through [`Network::step_reversed`], which counts movers and advances
+//! the rotation offset without running the collision kernel.
+//!
 //! On top of the bit exchange, [`RingLink::exchange_frames`] ships
 //! fixed-width optional values (a presence bit plus a payload), which is the
 //! unit the dissemination primitives are built from.
@@ -15,17 +20,18 @@
 use crate::error::ProtocolError;
 use crate::exec::{Network, StepBuffers};
 use crate::perceptive::neighbors::{discover_neighbors, NeighborInfo, NeighborMap};
-use ring_sim::{LocalDirection, Observation};
+use ring_sim::{ArcLength, LocalDirection};
 
 /// Reusable scratch for the zero-alloc bit exchange
-/// ([`RingLink::exchange_bits_with`]): one [`StepBuffers`] for the four
-/// rounds, one direction buffer and a copy of the first information round's
-/// observations (the second information round's live in the step buffers).
+/// ([`RingLink::exchange_bits_with`]): one [`StepBuffers`] for the two
+/// observed rounds, one direction buffer and a copy of the first
+/// information round's collisions (the second information round's
+/// observations live in the step buffers).
 #[derive(Clone, Debug, Default)]
 pub struct LinkBuffers {
     step: StepBuffers,
     dirs: Vec<LocalDirection>,
-    obs_first: Vec<Observation>,
+    coll_first: Vec<Option<ArcLength>>,
 }
 
 impl LinkBuffers {
@@ -76,6 +82,21 @@ pub struct NeighborFrames {
     pub from_left: Option<u64>,
 }
 
+/// The bit a neighbour sent, from the agent's own bit, whether the
+/// neighbour approached in the round the agent moved towards it (a first
+/// collision at exactly half the gap) and whether the two share chirality.
+///
+/// The agent moves towards its right neighbour in round A iff `bit`, and
+/// towards its left neighbour iff `!bit`; the neighbour moves its own right
+/// in round A iff its bit is 1 and the other way in round B; whether that
+/// carries it towards the agent flips with their relative chirality.
+/// Working this through gives one select for both sides: the sent bit is
+/// `¬(bit ⊕ approached ⊕ same_chirality)`.
+#[inline]
+fn decode_bit(bit: bool, approached: bool, same_chirality: bool) -> bool {
+    !(bit ^ approached ^ same_chirality)
+}
+
 /// A communication link between ring neighbours, built purely out of
 /// collisions.
 #[derive(Clone, Debug)]
@@ -123,7 +144,7 @@ impl RingLink {
     /// received. Costs 4 rounds (each of the two information rounds is
     /// followed by its reversal, so both start from — and the exchange ends
     /// at — the same positions, which is what makes the gap comparison in
-    /// the decoder valid).
+    /// the decoder valid). The two reversals are unobserved rounds.
     ///
     /// # Errors
     ///
@@ -170,9 +191,10 @@ impl RingLink {
         bufs.dirs
             .extend(bits.iter().map(|&b| LocalDirection::from_bit(b)));
         net.step_into(&bufs.dirs, &mut bufs.step)?;
-        bufs.obs_first.clear();
-        bufs.obs_first.extend_from_slice(bufs.step.observations());
-        net.step_reversed_into(&bufs.dirs, &mut bufs.step)?;
+        bufs.coll_first.clear();
+        bufs.coll_first
+            .extend(bufs.step.observations().iter().map(|o| o.coll));
+        net.step_reversed(&bufs.dirs)?;
         for d in bufs.dirs.iter_mut() {
             *d = d.opposite();
         }
@@ -182,60 +204,40 @@ impl RingLink {
         // are still live in the step buffers; the closing reversal below
         // does not contribute information).
         out.clear();
-        for (agent, &bit) in bits.iter().enumerate() {
-            let info = self.infos[agent];
-            let obs_a = &bufs.obs_first[agent];
-            let obs_b = &bufs.step.observations()[agent];
-            // Observations of the rounds in which this agent moved right and
-            // left respectively.
-            let (obs_when_right, obs_when_left): (&Observation, &Observation) =
-                if bit { (obs_a, obs_b) } else { (obs_b, obs_a) };
-            let right_round_is_a = bit;
-            let left_round_is_a = !bit;
-
-            let right_approached = obs_when_right.coll == Some(info.right_gap.half());
-            let left_approached = obs_when_left.coll == Some(info.left_gap.half());
-
-            // The right neighbour approached iff it physically moved towards
-            // this agent, i.e. (same chirality ⇒ it moved left, opposite ⇒ it
-            // moved right). In round A it moved right iff its bit is 1.
-            let right_moved_right_in_that_round = if info.right_same_chirality {
-                !right_approached
-            } else {
-                right_approached
-            };
-            let from_right = if right_round_is_a {
-                right_moved_right_in_that_round
-            } else {
-                !right_moved_right_in_that_round
-            };
-
-            // The left neighbour approached iff it physically moved towards
-            // this agent, i.e. (same chirality ⇒ it moved right, opposite ⇒
-            // it moved left).
-            let left_moved_right_in_that_round = if info.left_same_chirality {
-                left_approached
-            } else {
-                !left_approached
-            };
-            let from_left = if left_round_is_a {
-                left_moved_right_in_that_round
-            } else {
-                !left_moved_right_in_that_round
-            };
-
-            out.push(NeighborBits {
-                from_right,
-                from_left,
-            });
-        }
-        net.step_reversed_into(&bufs.dirs, &mut bufs.step)?;
+        out.extend(
+            bits.iter()
+                .zip(&self.infos)
+                .zip(bufs.coll_first.iter().zip(bufs.step.observations()))
+                .map(|((&bit, info), (&coll_a, obs_b))| {
+                    // The agent moved right in round A iff its bit is 1, and
+                    // left in the other round.
+                    let (coll_right, coll_left) = if bit {
+                        (coll_a, obs_b.coll)
+                    } else {
+                        (obs_b.coll, coll_a)
+                    };
+                    NeighborBits {
+                        from_right: decode_bit(
+                            bit,
+                            coll_right == Some(info.right_gap.half()),
+                            info.right_same_chirality,
+                        ),
+                        from_left: decode_bit(
+                            bit,
+                            coll_left == Some(info.left_gap.half()),
+                            info.left_same_chirality,
+                        ),
+                    }
+                }),
+        );
+        net.step_reversed(&bufs.dirs)?;
         Ok(())
     }
 
     /// Exchanges a fixed-width optional value with both neighbours: one
     /// presence bit followed by `bits` payload bits (most significant
-    /// first). Costs `4 · (bits + 1)` rounds and restores all positions.
+    /// first). Costs `4 · (bits + 1)` rounds, half of them unobserved
+    /// reversals, and restores all positions.
     ///
     /// # Errors
     ///
@@ -420,6 +422,50 @@ mod tests {
             link.exchange_frames(&mut net, &[None, None], 4),
             Err(ProtocolError::LengthMismatch { .. })
         ));
+    }
+
+    /// The decoder against the physics it inverts, for both sides: the
+    /// agent moves towards the neighbour in round A iff its bit points that
+    /// way, the neighbour moves its own right in round A iff it sends 1
+    /// (and the other way in round B), and it approaches iff that is the
+    /// agent's way, which flips with relative chirality.
+    #[test]
+    fn link_decode_truth_table() {
+        // (own bit, approached, same chirality) → the sent bit.
+        let table = [
+            (false, false, false, true),
+            (false, false, true, false),
+            (false, true, false, false),
+            (false, true, true, true),
+            (true, false, false, false),
+            (true, false, true, true),
+            (true, true, false, true),
+            (true, true, true, false),
+        ];
+        for (bit, approached, same, sent) in table {
+            assert_eq!(
+                decode_bit(bit, approached, same),
+                sent,
+                "{bit} {approached} {same}"
+            );
+        }
+        for right_side in [true, false] {
+            for bit in [false, true] {
+                for sent in [false, true] {
+                    for same in [false, true] {
+                        let observed_round_is_a = right_side == bit;
+                        let moves_own_right = observed_round_is_a == sent;
+                        let moves_agent_right = moves_own_right == same;
+                        let approached = moves_agent_right != right_side;
+                        assert_eq!(
+                            decode_bit(bit, approached, same),
+                            sent,
+                            "right side {right_side}, bit {bit}, sent {sent}, same {same}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// `ArcLength::half` is what the decoder compares against; make sure the

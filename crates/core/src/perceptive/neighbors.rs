@@ -70,7 +70,8 @@ impl NeighborMap {
 }
 
 /// Algorithm 3: neighbour discovery. Every round is followed by its reversed
-/// round, so the agents end exactly where they started.
+/// round, so the agents end exactly where they started; the reversed rounds
+/// are unobserved ([`Network::step_reversed`]).
 ///
 /// # Errors
 ///
@@ -127,7 +128,7 @@ pub fn discover_neighbors(net: &mut Network<'_>) -> Result<NeighborMap, Protocol
                 }));
                 net.step_into(&dirs, &mut bufs)?;
                 record(&dirs, bufs.observations(), &mut min_right, &mut min_left);
-                net.step_reversed_into(&dirs, &mut bufs)?;
+                net.step_reversed(&dirs)?;
             }
         }
     }
@@ -142,7 +143,7 @@ pub fn discover_neighbors(net: &mut Network<'_>) -> Result<NeighborMap, Protocol
         all_right_coll[agent] = obs.coll;
     }
     record(&dirs, bufs.observations(), &mut min_right, &mut min_left);
-    net.step_reversed_into(&dirs, &mut bufs)?;
+    net.step_reversed(&dirs)?;
 
     dirs.clear();
     dirs.extend(std::iter::repeat_n(LocalDirection::Left, n));
@@ -151,7 +152,7 @@ pub fn discover_neighbors(net: &mut Network<'_>) -> Result<NeighborMap, Protocol
         all_left_coll[agent] = obs.coll;
     }
     record(&dirs, bufs.observations(), &mut min_right, &mut min_left);
-    net.step_reversed_into(&dirs, &mut bufs)?;
+    net.step_reversed(&dirs)?;
 
     let mut infos = Vec::with_capacity(n);
     for agent in 0..n {

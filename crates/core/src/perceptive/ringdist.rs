@@ -23,7 +23,10 @@
 //!    moves clockwise, and only if it already knows its label — tells every
 //!    agent whether the process is finished.
 //!
-//! The total cost is `O(√n · log N)` rounds.
+//! The total cost is `O(√n · log N)` rounds. The rounds that only restore
+//! positions — the undo shifts of step 2, the undo of `Shift(k)` and the
+//! reversal of a successful check — are unobserved
+//! ([`Network::step_unobserved`], [`Network::step_reversed`]).
 
 use crate::error::ProtocolError;
 use crate::exec::{Network, StepBuffers};
@@ -161,10 +164,10 @@ pub fn ring_distances(
                 y_sums[agent].push(prev + traversed);
             }
         }
-        // Phase B: undo the shifts.
+        // Phase B: undo the shifts (nobody reads these rounds).
         fill_shift_dirs(&label, k / 2, true, &mut dirs);
         for _ in 0..k {
-            net.step_into(&dirs, &mut bufs)?;
+            net.step_unobserved(&dirs)?;
         }
 
         // Phase C: Shift(k), collect z, undo.
@@ -177,7 +180,7 @@ pub fn ring_distances(
                 .map(|o| o.coll.map(|c| c.ticks())),
         );
         fill_shift_dirs(&label, k, false, &mut dirs);
-        net.step_into(&dirs, &mut bufs)?;
+        net.step_unobserved(&dirs)?;
 
         // Label detection (Corollary 38).
         for agent in 0..n {
@@ -241,7 +244,7 @@ pub fn ring_distances(
             // collision link established earlier (whose gap table refers to
             // the positions at the start of this protocol) stays valid for
             // subsequent phases.
-            net.step_reversed_into(&dirs, &mut bufs)?;
+            net.step_reversed(&dirs)?;
             completed = true;
             break;
         }

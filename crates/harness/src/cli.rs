@@ -1680,8 +1680,8 @@ fn render_fig3(measurements: &[Measurement]) -> String {
     let mut out = String::from(
         "# Figure 3 — protocol degradation under message loss\n\n\
          Median rounds to completion per per-mille message-drop rate; the\n\
-         failure percentage of runs (round-limit hits) in parentheses. `-`\n\
-         marks a cell where no run completed.\n",
+         failure percentage of runs (wrong answers, aborts and round-limit\n\
+         timeouts) in parentheses. `-` marks a cell where no run completed.\n",
     );
     for cell in cells.values_mut() {
         cell.completed_rounds

@@ -489,6 +489,14 @@ pub const MAX_CASES: u64 = 1 << 20;
 /// stay at or below 2^17.
 pub const MAX_UNIVERSE: u64 = 1 << 28;
 
+/// The largest ring one grid case may have. A case's protocols run
+/// rounds whose number and cost both grow with `n`: one n = 4096 Table I
+/// case at universe factor 64 takes 6–7 s on a 2-vCPU box, and the
+/// standard grids stay at or below n = 256. Without this bound, a spec like
+/// `table1 --sizes 134217728 --universe-factors 1` passes every other check
+/// and holds a worker indefinitely.
+pub const MAX_AGENTS: usize = 4096;
+
 /// A validated sweep spec with everything it resolves to.
 pub struct Resolved {
     /// The table / figure / fault sweep grid.
@@ -512,8 +520,9 @@ pub struct Resolved {
 /// Returns a description of the first unusable value: an unknown
 /// subcommand, an empty list, a zero count, a seed schedule beyond the
 /// strong-window count, an axis the subcommand does not take, a drop rate
-/// above 1000‰, a ring size below [`MIN_AGENTS`], a universe beyond
-/// [`MAX_UNIVERSE`], or a grid of more than [`MAX_CASES`] cases.
+/// above 1000‰, a ring size below [`MIN_AGENTS`] or above [`MAX_AGENTS`],
+/// a universe beyond [`MAX_UNIVERSE`], or a grid of more than
+/// [`MAX_CASES`] cases.
 pub fn resolve(params: &SpecParams) -> Result<Resolved, String> {
     check(params)?;
     let sweep = sweep_spec(params);
@@ -525,6 +534,11 @@ pub fn resolve(params: &SpecParams) -> Result<Resolved, String> {
         if let Some(n) = sweep.sizes.iter().find(|&&n| n < MIN_AGENTS) {
             return Err(format!(
                 "ring size {n} is below the protocols' minimum of {MIN_AGENTS} agents"
+            ));
+        }
+        if let Some(n) = sweep.sizes.iter().find(|&&n| n > MAX_AGENTS) {
+            return Err(format!(
+                "ring size {n} exceeds the per-case bound of {MAX_AGENTS} agents"
             ));
         }
         let largest_n = sweep.sizes.iter().max().map_or(0, |&n| n as u64);
@@ -878,6 +892,18 @@ mod tests {
                 universe_factors: Some(vec![MAX_UNIVERSE]),
                 ..spec("lower-bounds")
             },
+            // Rings whose cases would run unbounded: the universe is small,
+            // the ring is not.
+            SpecParams {
+                sizes: Some(vec![1 << 27]),
+                universe_factors: Some(vec![1]),
+                reps: Some(1),
+                ..spec("table1")
+            },
+            SpecParams {
+                sizes: Some(vec![16, MAX_AGENTS + 1]),
+                ..spec("faults")
+            },
         ];
         for params in &refused {
             assert!(resolve(params).is_err(), "accepted {params:?}");
@@ -898,6 +924,12 @@ mod tests {
             ..spec("table1")
         };
         assert!(resolve(&universe_at_bound).is_ok());
+        let agents_at_bound = SpecParams {
+            sizes: Some(vec![MAX_AGENTS]),
+            universe_factors: Some(vec![1]),
+            ..spec("table1")
+        };
+        assert!(resolve(&agents_at_bound).is_ok());
         let small_sets = SpecParams {
             sizes: Some(vec![4]),
             ..spec("scaling")

@@ -400,12 +400,28 @@ fn gc_never_deletes_a_blob_a_live_index_entry_references() {
     std::fs::remove_dir_all(&dir).ok();
     let store = Arc::new(StructureStore::at(&dir).unwrap());
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // All four threads start together, and each publisher publishes half
+    // its keys, then waits for a completed gc pass before publishing the
+    // rest: gc provably runs while the store is being published into, even
+    // on a loaded box that would otherwise let the publishers finish first.
+    // The collector's Release store of its pass count pairs with the
+    // publishers' Acquire loads.
+    let start = Arc::new(std::sync::Barrier::new(4));
+    let gc_passes = Arc::new(std::sync::atomic::AtomicU32::new(0));
 
     let publishers: Vec<_> = (0..3u64)
         .map(|t| {
             let store = Arc::clone(&store);
+            let start = Arc::clone(&start);
+            let gc_passes = Arc::clone(&gc_passes);
             std::thread::spawn(move || {
+                start.wait();
                 for seed in 0..12u64 {
+                    if seed == 6 {
+                        while gc_passes.load(std::sync::atomic::Ordering::Acquire) == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
                     store.distinguisher(128, 4, 1000 * t + seed);
                 }
             })
@@ -414,11 +430,15 @@ fn gc_never_deletes_a_blob_a_live_index_entry_references() {
     let collector = {
         let dir = dir.clone();
         let stop = Arc::clone(&stop);
+        let start = Arc::clone(&start);
+        let gc_passes = Arc::clone(&gc_passes);
         std::thread::spawn(move || {
+            start.wait();
             let mut passes = 0u32;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 ring_harness::store::gc_store_dir(&dir).unwrap();
                 passes += 1;
+                gc_passes.store(passes, std::sync::atomic::Ordering::Release);
             }
             passes
         })

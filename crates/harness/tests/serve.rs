@@ -601,6 +601,7 @@ fn hostile_specs_are_refused_at_the_door() {
         r#"{"subcommand":"sweep","quick":true,"universe_factors":[0]}"#,
         r#"{"subcommand":"sweep","sizes":[16],"universe_factors":[18446744073709551615]}"#,
         r#"{"subcommand":"sweep","sizes":[16],"universe_factors":[4294967296]}"#,
+        r#"{"subcommand":"table1","sizes":[134217728],"universe_factors":[1],"reps":1}"#,
     ] {
         let (status, reply) = http(&daemon.addr, "POST", "/v1/runs", body);
         assert_eq!(status, 400, "{body}: {reply}");

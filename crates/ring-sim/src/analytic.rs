@@ -17,7 +17,10 @@
 //!   anticlockwise mover.
 //!
 //! There is no per-agent division, scatter or search; a round costs O(n)
-//! with small constants. All arithmetic is exact (integer ticks).
+//! with small constants. All arithmetic is exact (integer ticks). A round
+//! whose observations nobody reads needs only the first pass:
+//! [`crate::state::RingState::advance_unobserved`] shares its mover count
+//! and skips the rest.
 //!
 //! Results are slot-ordered. Agents `0..n − o` occupy slots `o..n` and
 //! agents `n − o..n` occupy slots `0..o`, so agent-order consumers (the
@@ -142,7 +145,7 @@ impl AnalyticEngine {
             "rotation offset {offset} out of range for n = {n}"
         );
 
-        let (n_c, n_a) = mover_counts(directions);
+        let (n_c, n_a) = mover_counts(directions.iter().copied());
         let rotation = rotation_from_counts(n_c, n_a, n);
         let r = rotation.shift;
 

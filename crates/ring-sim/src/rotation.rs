@@ -63,14 +63,16 @@ impl RotationIndex {
 /// Computes the rotation index of a round from the objective directions of
 /// all agents (Lemma 1).
 pub fn rotation_index(directions: &[ObjectiveDirection]) -> RotationIndex {
-    let (n_c, n_a) = mover_counts(directions);
+    let (n_c, n_a) = mover_counts(directions.iter().copied());
     rotation_from_counts(n_c, n_a, directions.len())
 }
 
 /// Numbers of clockwise and anticlockwise movers, counted in one
 /// branch-free pass.
-pub(crate) fn mover_counts(directions: &[ObjectiveDirection]) -> (usize, usize) {
-    directions.iter().fold((0, 0), |(n_c, n_a), &d| {
+pub(crate) fn mover_counts(
+    directions: impl IntoIterator<Item = ObjectiveDirection>,
+) -> (usize, usize) {
+    directions.into_iter().fold((0, 0), |(n_c, n_a), d| {
         (
             n_c + usize::from(d == ObjectiveDirection::Clockwise),
             n_a + usize::from(d == ObjectiveDirection::Anticlockwise),

@@ -8,6 +8,9 @@
 //! [`RingState::execute_round`], supplying each agent's chosen
 //! [`LocalDirection`] and receiving each agent's [`Observation`] — already
 //! translated into the agent's own frame, exactly as the model prescribes.
+//! A round whose observations nobody reads runs through
+//! [`RingState::advance_unobserved`]: by Lemma 1 it only needs the mover
+//! counts, so it skips the displacement and collision passes.
 
 use crate::analytic::{AnalyticEngine, AnalyticScratch};
 use crate::config::RingConfig;
@@ -16,7 +19,7 @@ use crate::error::RingError;
 use crate::events::{EventEngine, EventScratch};
 use crate::geometry::{ArcLength, Point, CIRCUMFERENCE};
 use crate::observe::Observation;
-use crate::rotation::RotationIndex;
+use crate::rotation::{mover_counts, rotation_from_counts, RotationIndex};
 
 /// Which physics engine executes the round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -306,32 +309,73 @@ impl<'a> RingState<'a> {
         bufs.observations
             .extend(observations(chir_wrapped, &disp[..offset], &coll[..offset]));
 
-        let advanced = offset + rotation.shift;
-        self.offset = if advanced >= n {
-            advanced - n
-        } else {
-            advanced
-        };
-        self.rounds_executed += 1;
+        self.advance(rotation);
         Ok(rotation)
     }
 
-    /// Executes a round in which every agent moves opposite to the supplied
-    /// local directions (the paper's `REVERSEDROUND`), which undoes the
-    /// positional effect of the immediately preceding `SINGLEROUND` with the
-    /// same directions.
+    /// Executes one round whose observations nobody reads, given each
+    /// agent's direction in its own frame. By Lemma 1 a round's whole
+    /// effect on the ring is its rotation index, a function of the mover
+    /// counts alone: the round is one counting pass and an offset update,
+    /// with no displacement, collision or observation pass and no buffers.
+    /// The offset and round count end exactly where
+    /// [`RingState::execute_round_into`] would leave them.
+    ///
+    /// The directions are taken as an iterator so that callers can reverse
+    /// or suppress moves while they are counted instead of materialising
+    /// the effective directions.
     ///
     /// # Errors
     ///
     /// Returns an error if the number of directions does not match the
     /// number of agents.
-    pub fn execute_reversed_round(
-        &mut self,
-        local_directions: &[LocalDirection],
-        engine: EngineKind,
-    ) -> Result<RoundOutcome, RingError> {
-        let reversed: Vec<LocalDirection> = local_directions.iter().map(|d| d.opposite()).collect();
-        self.execute_round(&reversed, engine)
+    pub fn advance_unobserved<I>(&mut self, local_directions: I) -> Result<RotationIndex, RingError>
+    where
+        I: IntoIterator<Item = LocalDirection>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let directions = local_directions.into_iter();
+        let n = self.len();
+        if directions.len() != n {
+            return Err(RingError::DirectionCountMismatch {
+                got: directions.len(),
+                expected: n,
+            });
+        }
+        let (n_c, n_a) = mover_counts(
+            directions
+                .zip(self.config.chiralities())
+                .map(|(dir, &chir)| dir.to_objective(chir)),
+        );
+        let rotation = rotation_from_counts(n_c, n_a, n);
+        self.advance(rotation);
+        Ok(rotation)
+    }
+
+    /// Moves every agent `rotation.shift` slots on and counts the round.
+    fn advance(&mut self, rotation: RotationIndex) {
+        let advanced = self.offset + rotation.shift;
+        self.offset = if advanced >= self.len() {
+            advanced - self.len()
+        } else {
+            advanced
+        };
+        self.rounds_executed += 1;
+    }
+
+    /// The displacement of `agent` from its initial position, measured in
+    /// the agent's own clockwise direction. The `dist` of each round is the
+    /// own-frame arc from the round's start to its end position, so the
+    /// sum of all of an agent's `dist` observations modulo the
+    /// circumference telescopes to this arc: it is derived from the offset
+    /// and costs nothing per round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `agent >= n`.
+    pub fn own_displacement(&self, agent: usize) -> ArcLength {
+        let cw = self.config.cw_arc(agent, self.slot_of_agent(agent));
+        in_own_frame(self.config.chirality(agent), cw)
     }
 }
 
@@ -347,16 +391,23 @@ fn observations<'s>(
         .iter()
         .zip(cw_displacement)
         .zip(first_collision)
-        .map(|((&chir, &cw), &coll)| {
-            // The mirror image of a clockwise arc `d < CIRCUMFERENCE` is
-            // `CIRCUMFERENCE − d`, and zero stays zero: one masked negation.
-            let mirrored = cw.ticks().wrapping_neg() & (CIRCUMFERENCE - 1);
-            let dist = match chir {
-                Chirality::Aligned => cw,
-                Chirality::Reversed => ArcLength::from_ticks(mirrored),
-            };
-            Observation { dist, coll }
+        .map(|((&chir, &cw), &coll)| Observation {
+            dist: in_own_frame(chir, cw),
+            coll,
         })
+}
+
+/// An objective clockwise arc `cw < CIRCUMFERENCE` as an agent of the given
+/// chirality measures it in its own clockwise direction.
+#[inline]
+fn in_own_frame(chirality: Chirality, cw: ArcLength) -> ArcLength {
+    // The mirror image of a clockwise arc `d < CIRCUMFERENCE` is
+    // `CIRCUMFERENCE − d`, and zero stays zero: one masked negation.
+    let mirrored = cw.ticks().wrapping_neg() & (CIRCUMFERENCE - 1);
+    match chirality {
+        Chirality::Aligned => cw,
+        Chirality::Reversed => ArcLength::from_ticks(mirrored),
+    }
 }
 
 #[cfg(test)]
@@ -383,10 +434,57 @@ mod tests {
         ];
         assert!(ring.at_initial_positions());
         ring.execute_round(&dirs, EngineKind::Analytic).unwrap();
-        ring.execute_reversed_round(&dirs, EngineKind::Analytic)
+        // The paper's `REVERSEDROUND`: everybody moves the other way.
+        ring.advance_unobserved(dirs.iter().map(|d| d.opposite()))
             .unwrap();
         assert!(ring.at_initial_positions());
         assert_eq!(ring.rounds_executed(), 2);
+    }
+
+    /// An unobserved round advances the ring exactly as the observed round
+    /// with the same directions, idle agents included, and the derived
+    /// own-frame displacement is the running sum of the observed `dist`.
+    #[test]
+    fn unobserved_rounds_advance_like_observed_rounds() {
+        let n = 11;
+        let config = RingConfig::builder(n)
+            .random_positions(21)
+            .random_chirality(22)
+            .build()
+            .unwrap();
+        let mut observed = RingState::new(&config);
+        let mut unobserved = RingState::new(&config);
+        let mut bufs = RoundBuffers::new();
+        let mut sums = vec![0u64; n];
+        for round in 0..40usize {
+            let dirs: Vec<LocalDirection> = (0..n)
+                .map(|agent| match (agent * 7 + round * 3 + agent * round) % 5 {
+                    0 => LocalDirection::Idle,
+                    1 | 2 => LocalDirection::Left,
+                    _ => LocalDirection::Right,
+                })
+                .collect();
+            let rotation = observed
+                .execute_round_into(&dirs, EngineKind::Analytic, &mut bufs)
+                .unwrap();
+            assert_eq!(
+                unobserved.advance_unobserved(dirs.iter().copied()),
+                Ok(rotation)
+            );
+            assert_eq!(observed.offset(), unobserved.offset());
+            assert_eq!(observed.rounds_executed(), unobserved.rounds_executed());
+            for (agent, (sum, obs)) in sums.iter_mut().zip(&bufs.observations).enumerate() {
+                *sum = (*sum + obs.dist.ticks()) % CIRCUMFERENCE;
+                assert_eq!(unobserved.own_displacement(agent).ticks(), *sum);
+            }
+        }
+        assert_eq!(
+            unobserved.advance_unobserved([LocalDirection::Right; 3]),
+            Err(RingError::DirectionCountMismatch {
+                got: 3,
+                expected: n
+            })
+        );
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //! **zero** heap allocations — through the analytic engine (the clean
 //! sweeps' hot path, also as driven by the protocol executor
 //! `Network::step_into`) and through the event engine (the reference the
-//! engine-agreement tests run). A counting global allocator
-//! measures an exact replay of the warm-up rounds against a fresh state,
-//! so any per-round allocation sneaking back into the engines fails the
-//! test deterministically.
+//! engine-agreement tests run). Unobserved and reversed network rounds
+//! (`Network::step_unobserved` / `Network::step_reversed`) take no buffers
+//! and must allocate nothing, with or without a fault plan. A counting
+//! global allocator measures an exact replay of the warm-up rounds against
+//! a fresh state, so any per-round allocation sneaking back into the
+//! engines fails the test deterministically.
 
 use ring_protocols::exec::{Network, StepBuffers};
+use ring_protocols::fault::{FaultParams, FaultPlan};
 use ring_protocols::ids::IdAssignment;
 use ring_sim::{
     EngineKind, LocalDirection, Model, ObjectiveDirection, RingConfig, RingState, RoundBuffers,
@@ -178,5 +181,62 @@ fn perceptive_network_steps_allocate_nothing_after_warmup() {
             total, 0,
             "n = {n}: {total} allocations across {ROUNDS} warm perceptive steps"
         );
+    }
+}
+
+#[test]
+fn unobserved_and_reversed_network_steps_allocate_nothing() {
+    const ROUNDS: u64 = 64;
+    let faults = FaultParams {
+        drop_per_mille: 200,
+        crashes: 2,
+        churn: 2,
+        adversarial: true,
+    };
+    for n in [8usize, 13, 256] {
+        let config = ring(n);
+        let ids = IdAssignment::random(n, 4 * n as u64, 2015);
+        let mut objective = vec![ObjectiveDirection::Clockwise; n];
+        let mut directions = vec![LocalDirection::Right; n];
+        let mut run = |net: &mut Network<'_>| {
+            for round in 0..ROUNDS {
+                fill_directions(&mut objective, round);
+                for (local, &dir) in directions.iter_mut().zip(&objective) {
+                    *local = LocalDirection::from_bit(dir == ObjectiveDirection::Clockwise);
+                }
+                if round % 2 == 0 {
+                    net.step_unobserved(&directions).expect("round executes");
+                } else {
+                    net.step_reversed(&directions).expect("round executes");
+                }
+            }
+            net.ground_truth_offset()
+        };
+        for plan in [None, Some(FaultPlan::new(faults, n, 2015))] {
+            // Network and fault-plan construction is not a round: build
+            // both outside the measured region.
+            let network = || {
+                let net =
+                    Network::new(&config, ids.clone(), Model::Perceptive).expect("valid network");
+                match &plan {
+                    Some(plan) => net.with_faults(plan.clone()),
+                    None => net,
+                }
+            };
+            let warm = run(&mut network());
+            let mut fresh = network();
+            let before = allocations();
+            let replayed = run(&mut fresh);
+            let total = allocations() - before;
+
+            assert_eq!(warm, replayed, "replay must be deterministic");
+            assert_eq!(fresh.rounds_used(), ROUNDS);
+            assert_eq!(
+                total,
+                0,
+                "n = {n}, faults {}: {total} allocations across {ROUNDS} unobserved steps",
+                plan.is_some()
+            );
+        }
     }
 }
